@@ -48,7 +48,13 @@ from .metric import (
     validate_quasi_metric,
     write_cloud,
 )
-from .mst import build_mst_kruskal, build_mst_prim, read_tree, write_tree
+from .mst import (
+    build_mst_kruskal,
+    build_mst_prim,
+    read_tree,
+    tree_total_length,
+    write_tree,
+)
 from .reports import format_float
 
 
@@ -156,7 +162,7 @@ def cmd_mst(args) -> int:
         raise InputError(f"unknown algorithm {args.algo!r}")
     write_tree(tree, args.out)
     _finish(manifest, args.out)
-    total = float(np.sort(tree.lengths()).sum()) if tree.edges else 0.0
+    total = tree_total_length(tree)
     print(f"{args.algo} tree over {tree.n} points, total length {format_float(total)}")
     return 0
 

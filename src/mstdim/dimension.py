@@ -56,28 +56,82 @@ class PackingResult:
         return len(self.center_indices)
 
 
+# Cells are keyed on at most this many leading coordinates (3**3 neighbours).
+_GRID_AXES = 3
+# Relative margin of the cell side over the coordinate bound; it dominates the
+# rounding of (x - lo) / side, at most about 2**-31 cells at 2**20 cells.
+_GRID_MARGIN = 1.0 + 2.0**-20
+_GRID_MAX_CELLS = 2**20
+
+
+def _cell_keys(pts: np.ndarray, radius: float):
+    """Integer cell keys of side just above ``radius`` on the leading
+    coordinates, plus the key offsets that bound the neighbour runs.
+
+    Two points whose coordinates differ by at most ``radius`` lie in
+    neighbouring cells. The last keyed axis has stride 1, so the 3**k
+    neighbours of key K are the 3**(k-1) runs of consecutive keys
+    ``[K + runs[2j], K + runs[2j + 1])``. An axis with no finite positive
+    side is dropped, which only merges cells.
+    """
+    coords = pts[:, :_GRID_AXES]
+    lo_corner = coords.min(axis=0)
+    side = np.maximum(radius * _GRID_MARGIN, (coords.max(axis=0) - lo_corner) / _GRID_MAX_CELLS)
+    key = np.zeros(pts.shape[0], dtype=np.int64)
+    offsets = np.zeros(1, dtype=np.int64)
+    for a in np.flatnonzero(np.isfinite(side) & (side > 0.0)):
+        q = coords[:, a] - lo_corner[a]
+        q /= side[a]
+        np.floor(q, out=q)
+        # cell index + 1: indices 0 and width - 1 stay empty, so neighbour
+        # keys never wrap into another row
+        width = int(q.max()) + 3
+        key *= width
+        key += q.astype(np.int64)
+        key += 1
+        offsets = (offsets[:, None] * width + np.array([-1, 0, 1])).ravel()
+    if offsets.size == 1:  # no keyed axis: a single cell
+        return key, np.array([0, 1])
+    # offsets list the 3**k neighbours in key order, in triples of one run
+    runs = np.stack([offsets[0::3], offsets[2::3] + 1], axis=1).ravel()
+    return key, runs
+
+
 def greedy_packing(cloud: PointCloud, spec: DistanceSpec, eps: float) -> PackingResult:
     """First-come packing: scan points in cloud order, keep a point iff its
     distance to every kept center exceeds 2 eps (strict).
 
     The count is a maximal-packing size, a deterministic lower bound on the
     true maximum packing number at the same scale.
+
+    The scan is driven by centers: the first point not yet within 2 eps of a
+    center is the next center, and one ``one_to_many`` call evicts every live
+    point of the neighbouring grid cells within 2 eps of it. The cells are
+    sized by ``spec.coordinate_radius(2 eps)``, so no conflicting point is
+    missed; IEEE subtraction is antisymmetric, so each distance equals the one
+    a point-by-point scan computes, and the centers are the same, in order.
     """
-    if eps <= 0:
+    if not eps > 0:
         raise InputError("eps must be > 0")
     pts = cloud.points
-    n, d = pts.shape
     threshold = 2.0 * eps
-    centers = np.empty((n, d))
-    centers[0] = pts[0]
-    kept = [0]
-    count = 1
-    for i in range(1, n):
-        dists = spec.one_to_many(pts[i], centers[:count])
-        if np.all(dists > threshold):
-            centers[count] = pts[i]
-            kept.append(i)
-            count += 1
+    key, runs = _cell_keys(pts, spec.coordinate_radius(threshold))
+    order = np.argsort(key, kind="stable")
+    sorted_key = key[order]
+    live = bytearray(b"\x01") * cloud.n
+    live_view = np.frombuffer(live, dtype=np.uint8)
+    kept = []
+    i = 0
+    while i >= 0:
+        kept.append(i)
+        ends = np.searchsorted(sorted_key, key[i] + runs).tolist()
+        cand = np.concatenate(
+            [order[a:b] for a, b in zip(ends[0::2], ends[1::2]) if a < b]
+        )
+        cand = cand[live_view[cand].view(bool)]
+        dists = spec.one_to_many(pts[i], pts[cand])
+        live_view[cand[~(dists > threshold)]] = 0
+        i = live.find(1, i + 1)
     return PackingResult(eps=eps, center_indices=kept)
 
 

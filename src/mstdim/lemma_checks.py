@@ -36,6 +36,9 @@ __all__ = [
 ]
 
 SQRT3_OVER_2 = math.sqrt(3.0) / 2.0
+# lemma2 compares all edge midpoints pairwise in row blocks of about this many
+# coordinate differences (32 MiB of float64), not as one m x m x d array.
+LEMMA2_BLOCK_ELEMENTS = 1 << 22
 
 
 def lemma1_check(w1, w2, tol: float = 1e-12) -> CheckReport:
@@ -168,13 +171,22 @@ def lemma2_check(
     lengths = tree.lengths()
     mids = (pts[us] + pts[vs]) / 2.0
     m = len(tree.edges)
-    diff = mids[:, None, :] - mids[None, :, :]
-    mid_dist = np.sqrt((diff**2).sum(-1))
-    required = (lengths[:, None] + lengths[None, :]) / 10.0
-    slack = mid_dist - required
-    iu = np.triu_indices(m, k=1)
-    min_slack = float(slack[iu].min())
-    worst = int(np.argmin(slack[iu]))
+    # row-major blocks with a strict < keep the first minimum of the triangle
+    rows = max(1, LEMMA2_BLOCK_ELEMENTS // (m * mids.shape[1]))
+    min_slack, worst_pair = np.inf, None
+    for r0 in range(0, m - 1, rows):
+        r1 = min(r0 + rows, m - 1)
+        diff = mids[r0:r1, None, :] - mids[None, r0 + 1 :, :]
+        mid_dist = np.sqrt((diff**2).sum(-1))
+        required = (lengths[r0:r1, None] + lengths[None, r0 + 1 :]) / 10.0
+        slack = mid_dist - required
+        # column c of the block is edge r0 + 1 + c; keep only j > i
+        slack[np.tril_indices(r1 - r0, k=-1, m=slack.shape[1])] = np.inf
+        k = int(np.argmin(slack))
+        if worst_pair is None or slack.flat[k] < min_slack:
+            min_slack = float(slack.flat[k])
+            i, c = divmod(k, slack.shape[1])
+            worst_pair = [r0 + i, r0 + 1 + c]
     ties = _detect_length_ties(cloud, spec)
     return CheckReport(
         name="lemma2",
@@ -182,7 +194,7 @@ def lemma2_check(
         passed=bool(min_slack >= -tol),
         min_slack=min_slack,
         details={
-            "worst_pair": [int(iu[0][worst]), int(iu[1][worst])],
+            "worst_pair": worst_pair,
             "ties_detected": ties,
         },
     )

@@ -16,6 +16,7 @@ All oracles are pure functions of their arguments and exactly symmetric.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -102,8 +103,33 @@ class DistanceSpec:
         """Row-wise distances between two (m, d) arrays."""
         raise NotImplementedError
 
+    def coordinate_radius(self, t: float) -> float:
+        """Upper bound on every |a_k - b_k| over pairs whose computed distance
+        is at most ``t``, rounding included. ``inf`` means no bound is known,
+        so spatial pruning must consider every point."""
+        return math.inf
+
     def describe(self) -> str:
         raise NotImplementedError
+
+
+# Relative slack for coordinate bounds: covers the rounding of the row
+# kernels, about 750 * 2**-53 at worst for pow with a rounded 1/p exponent.
+_BOUND_SLACK = 2.0**-40
+
+
+def _power_preimage(t: float, e: float) -> float:
+    """Upper bound on every x >= 0 whose computed power x ** e is at most t.
+
+    The rounding of 1 / e and of both powers is amplified by 1 / e when
+    e < 1. Powers of x below 2 ** (-1022 / e) underflow and may read 0, so the
+    bound never drops under that level.
+    """
+    try:
+        root = float(t) ** (1.0 / e)
+    except OverflowError:
+        return math.inf
+    return max(root * (1.0 + _BOUND_SLACK / min(e, 1.0)), 2.0 ** (-1022.0 / max(e, 1.0)))
 
 
 def _check_dims(a, pts):
@@ -181,6 +207,11 @@ class Lp(DistanceSpec):
             return diff.sum(axis=-1)
         return (diff**self.p).sum(axis=-1) ** (1.0 / self.p)
 
+    def coordinate_radius(self, t: float) -> float:
+        # The largest term |a_k - b_k| ** p alone reaches the distance; below
+        # 2 ** (-1022 / p) that term underflows and may vanish from the sum.
+        return max(t * (1.0 + _BOUND_SLACK), 2.0 ** (-1022.0 / self.p))
+
     def describe(self) -> str:
         if self.p == 2.0:
             return "l2"
@@ -213,6 +244,9 @@ class Snowflake(DistanceSpec):
     def pairs(self, lhs, rhs):
         return self.base.pairs(lhs, rhs) ** self.theta
 
+    def coordinate_radius(self, t: float) -> float:
+        return self.base.coordinate_radius(_power_preimage(t, self.theta))
+
     def describe(self) -> str:
         return f"snowflake:{format_float(self.theta)}({self.base.describe()})"
 
@@ -241,6 +275,9 @@ class PowerQuasi(DistanceSpec):
     def pairs(self, lhs, rhs):
         return self.base.pairs(lhs, rhs) ** self.p
 
+    def coordinate_radius(self, t: float) -> float:
+        return self.base.coordinate_radius(_power_preimage(t, self.p))
+
     def describe(self) -> str:
         return f"powerquasi:{format_float(self.p)}({self.base.describe()})"
 
@@ -267,6 +304,12 @@ class Scaled(DistanceSpec):
 
     def pairs(self, lhs, rhs):
         return self.base.pairs(lhs, rhs) / self.divisor
+
+    def coordinate_radius(self, t: float) -> float:
+        # a quotient below 2 ** -1022 loses relative precision
+        return self.base.coordinate_radius(
+            max(t, 2.0**-1022) * self.divisor * (1.0 + _BOUND_SLACK)
+        )
 
     def describe(self) -> str:
         return f"scaled:{format_float(self.divisor)}({self.base.describe()})"

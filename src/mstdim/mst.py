@@ -264,20 +264,63 @@ def tree_to_text(tree: SpanningTree) -> str:
     )
 
 
+def _number_array(value):
+    """``value`` as a float64 array, or None unless it is a rectangular nest of
+    JSON numbers (strings and integers beyond 64 bits are refused)."""
+    try:
+        arr = np.array(value)
+    except (ValueError, TypeError):
+        return None
+    return arr.astype(np.float64) if arr.dtype.kind in "biuf" else None
+
+
 def tree_from_text(text: str) -> SpanningTree:
+    """Parse a tree record, rejecting anything that is not a spanning tree:
+    n - 1 ``[u, v, length]`` triples with indices in range and u != v, no
+    cycle, finite non-negative lengths, and insertion ranks (if present)
+    forming a permutation of range(n)."""
     try:
         record = json.loads(text)
     except json.JSONDecodeError as exc:
         raise InputError(f"malformed tree record: {exc}") from None
+    if not isinstance(record, dict):
+        raise InputError("malformed tree record: expected a JSON object")
     for key in ("n", "builder", "edges"):
         if key not in record:
             raise InputError(f"tree record missing field {key!r}")
-    edges = [(int(u), int(v), float(length)) for u, v, length in record["edges"]]
+    n = record["n"]
+    if isinstance(n, bool) or not isinstance(n, int) or n < 1:
+        raise InputError(f"tree record: n must be a positive integer, got {n!r}")
+    raw = record["edges"]
+    if not isinstance(raw, list) or len(raw) != n - 1:
+        raise InputError(f"tree record: a tree on {n} vertices needs {n - 1} edges")
+    table = _number_array(raw)
+    if table is None or (n > 1 and table.shape != (n - 1, 3)):
+        raise InputError("tree record: every edge must be a [u, v, length] triple of numbers")
+    table = table.reshape(n - 1, 3)
+    ends, lengths = table[:, :2], table[:, 2]
+    if not np.all((ends >= 0) & (ends < n) & (ends == np.floor(ends))):
+        raise InputError(f"tree record: edge endpoints must be integers in [0, {n})")
+    if np.any(ends[:, 0] == ends[:, 1]):
+        raise InputError("tree record: an edge joins a vertex to itself")
+    if not np.all(np.isfinite(lengths) & (lengths >= 0.0)):
+        raise InputError("tree record: edge lengths must be finite and >= 0")
+    # every value is a JSON number that passed the checks: the conversions
+    # are exact and keep the parsed objects
+    edges = [(int(u), int(v), float(length)) for u, v, length in raw]
+    uf = _UnionFind(n)
+    if not all(uf.union(u, v) for u, v, _ in edges):
+        raise InputError("tree record: the edges contain a cycle")
     rank = record.get("insertion_rank")
     if rank is not None:
+        ranks = _number_array(rank)
+        if ranks is None or ranks.shape != (n,) or not np.array_equal(
+            np.sort(ranks), np.arange(n)
+        ):
+            raise InputError("tree record: insertion_rank must be a permutation of range(n)")
         rank = [int(r) for r in rank]
     return SpanningTree(
-        n=int(record["n"]),
+        n=n,
         builder=str(record["builder"]),
         edges=edges,
         insertion_rank=rank,

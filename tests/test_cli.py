@@ -135,6 +135,39 @@ def test_energy_prints_unit_square_value(tmp_path, capsys):
     assert stdout.splitlines()[0] == "3"
 
 
+@pytest.mark.parametrize(
+    "record",
+    [
+        {"n": 2, "builder": "prim", "edges": [[0, 1]]},  # no length
+        {"n": 3, "builder": "prim", "edges": [[0, 1, 0.5], [1, 7, 1.0]]},  # index 7
+        {"n": 3, "builder": "prim", "edges": [[0, 1, 0.5], [1, 2, -1.0]]},
+        {"n": 3, "builder": "prim", "edges": [[0, 1, 0.5], [1, 2, "nan"]]},
+        {"n": 3, "builder": "prim", "edges": [[0, 1, 0.5], [1, 1, 0.5]]},  # self-loop
+        {"n": 4, "builder": "prim", "edges": [[0, 1, 1], [1, 2, 1], [2, 0, 1]]},  # cycle
+        {"n": 3, "builder": "prim", "edges": [[0, 1, 0.5]]},  # n - 2 edges
+        {"n": 3, "builder": "prim", "edges": [[0, 1.5, 0.5], [1, 2, 0.5]]},
+        {"n": 3, "builder": "prim", "edges": [[0, 1, 1], [1, 2, 1]],
+         "insertion_rank": [0, 1, 1]},
+        {"n": 2, "builder": "prim", "edges": [[0, 1, 1]], "insertion_rank": 5},
+        {"n": 2, "builder": "prim", "edges": [[0, 10**400, 1]]},
+        {"n": 2, "builder": "prim", "edges": [[0, "1.0", 1]]},
+        {"n": 0, "builder": "prim", "edges": []},
+        [0, 1, 0.5],
+    ],
+    ids=["short-edge", "index-range", "negative", "nan", "self-loop", "cycle",
+         "edge-count", "non-integer", "ranks", "scalar-ranks", "huge-index", "string-index", "empty",
+         "not-object"],
+)
+def test_energy_rejects_invalid_tree(tmp_path, capsys, record):
+    tree_path = tmp_path / "bad.json"
+    tree_path.write_text(json.dumps(record))
+    code, stdout, err = run(capsys, "energy", "--tree", str(tree_path), "--alpha", "1")
+    assert code == 2
+    assert stdout == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "Traceback" not in err
+
+
 # ------------------------------------------------------------------ dim-box
 
 

@@ -18,7 +18,7 @@ from mstdim.dimension import (
 from mstdim.errors import EstimationError, InputError, InsufficientScalesError
 from mstdim.generators import builtin_shape, generate_grid, shape_family
 from mstdim.lemma_checks import long_edge_volume_bound
-from mstdim.metric import Lp, PointCloud, Snowflake
+from mstdim.metric import DistanceSpec, Lp, PointCloud, PowerQuasi, Scaled, Snowflake
 from mstdim.mst import build_mst_prim
 from mstdim.energy import count_edges_longer_than
 
@@ -44,6 +44,8 @@ def test_packing_strict_boundary():
 def test_packing_eps_validation():
     with pytest.raises(InputError):
         greedy_packing(PointCloud([[0.0]]), L2, 0.0)
+    with pytest.raises(InputError):
+        greedy_packing(PointCloud([[0.0]]), L2, float("nan"))
 
 
 def test_cantor_packing_counts_match_branching():
@@ -53,6 +55,100 @@ def test_cantor_packing_counts_match_branching():
     for k in range(1, 7):
         result = greedy_packing(cloud, L2, 3.0**-k / 2.0)
         assert result.count == 2**k, k
+
+
+def _reference_packing(cloud, spec, eps):
+    """Point-by-point scan: keep a point iff its distance to every kept center
+    exceeds 2 eps. The packing must return exactly these centers."""
+    pts = cloud.points
+    kept = [0]
+    for i in range(1, cloud.n):
+        if np.all(spec.one_to_many(pts[i], pts[kept]) > 2.0 * eps):
+            kept.append(i)
+    return kept
+
+
+PACKING_SPECS = [
+    Lp(1.0),
+    L2,
+    Lp(3.0),
+    PowerQuasi(L2, 2.0),
+    Snowflake(L2, 0.5),
+    Scaled(L2, 3.0),
+]
+
+
+@settings(deadline=None, max_examples=80)
+@given(
+    seed=st.integers(0, 10**6),
+    n=st.integers(1, 70),
+    d=st.integers(1, 5),
+    lattice=st.booleans(),
+    spec_idx=st.integers(0, len(PACKING_SPECS) - 1),
+    eps_from_pair=st.booleans(),
+    eps=st.floats(min_value=1e-3, max_value=3.0),
+)
+def test_packing_matches_point_by_point_scan(
+    seed, n, d, lattice, spec_idx, eps_from_pair, eps
+):
+    rng = np.random.default_rng(seed)
+    if lattice:
+        pts = rng.integers(0, 4, (n, d)).astype(np.float64)  # ties and duplicates
+    else:
+        pts = rng.random((n, d))
+        pts[rng.integers(0, n, n // 4)] = pts[rng.integers(0, n, n // 4)]
+    cloud = PointCloud(pts)
+    spec = PACKING_SPECS[spec_idx]
+    if eps_from_pair:
+        # 2 eps equals a pair distance exactly: the strict keep rule decides
+        i, j = rng.integers(0, n, 2)
+        eps = float(spec.one_to_many(pts[i], pts[j : j + 1])[0]) / 2.0 or eps
+    result = greedy_packing(cloud, spec, eps)
+    assert result.center_indices == _reference_packing(cloud, spec, eps)
+
+
+@pytest.mark.parametrize(
+    "offset, spread, eps",
+    [
+        (1e15, 40.0, 0.5),  # coordinates near 1e15, integer gaps, ties at 2 eps
+        (0.0, 1e6, 1e-9),  # far more than 2**20 cells per axis: side is coarsened
+        (-3.0, 1e-6, 1e-3),  # every point in one cell
+    ],
+)
+def test_packing_grid_extremes_match_scan(offset, spread, eps):
+    rng = np.random.default_rng(11)
+    pts = rng.random((300, 3)) * spread
+    if spread > 1.0:
+        pts = np.round(pts)  # integer gaps: pair distances tie with 2 eps
+    cloud = PointCloud(offset + pts)
+    for spec in (L2, Lp(1.0), PowerQuasi(L2, 2.0)):
+        result = greedy_packing(cloud, spec, eps)
+        assert result.center_indices == _reference_packing(cloud, spec, eps)
+
+
+class _Chebyshev(DistanceSpec):
+    """Max-coordinate metric with no coordinate bound of its own."""
+
+    @property
+    def weak_triangle_const(self):
+        return 1.0
+
+    def one_to_many(self, a, pts, out=None):
+        return np.abs(np.asarray(pts) - np.asarray(a)).max(axis=1)
+
+
+def test_packing_without_coordinate_bound_is_exact():
+    spec = _Chebyshev()
+    assert spec.coordinate_radius(0.5) == math.inf
+    rng = np.random.default_rng(5)
+    cloud = PointCloud(rng.integers(0, 6, (200, 2)).astype(np.float64))
+    for eps in (0.5, 1.0, 1.25, 2.0):
+        result = greedy_packing(cloud, spec, eps)
+        assert result.center_indices == _reference_packing(cloud, spec, eps)
+
+
+def test_packing_single_point():
+    assert greedy_packing(PointCloud([[2.0, 3.0]]), L2, 0.1).center_indices == [0]
 
 
 @settings(deadline=None, max_examples=25)

@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+from mstdim import lemma_checks
 from mstdim.errors import InputError, UnsupportedMetricError
 from mstdim.generators import builtin_shape, generate_grid, generate_uniform
 from mstdim.lemma_checks import (
@@ -105,6 +106,25 @@ def test_lemma2_single_edge_vacuous():
     tree = build_mst_prim(cloud, L2)
     report = lemma2_check(cloud, tree)
     assert report.passed and report.min_slack is None
+
+
+@pytest.mark.parametrize("block", [1, 7, 40, 1 << 22])
+def test_lemma2_row_blocks_match_full_matrix(monkeypatch, block):
+    # the unchunked m x m x d formula, first minimum in row-major triangle order
+    cloud, _ = builtin_shape("grid", 5)  # many equal slacks
+    tree = build_mst_prim(cloud, L2)
+    pts, lengths = cloud.points, tree.lengths()
+    us = np.array([e[0] for e in tree.edges])
+    vs = np.array([e[1] for e in tree.edges])
+    mids = (pts[us] + pts[vs]) / 2.0
+    diff = mids[:, None, :] - mids[None, :, :]
+    slack = np.sqrt((diff**2).sum(-1)) - (lengths[:, None] + lengths[None, :]) / 10.0
+    iu = np.triu_indices(len(lengths), k=1)
+    worst = int(np.argmin(slack[iu]))
+    monkeypatch.setattr(lemma_checks, "LEMMA2_BLOCK_ELEMENTS", block)
+    report = lemma2_check(cloud, tree)
+    assert report.min_slack == float(slack[iu].min())
+    assert report.details["worst_pair"] == [int(iu[0][worst]), int(iu[1][worst])]
 
 
 def test_lemma2_kruskal_trees_also_pass():

@@ -286,3 +286,43 @@ def test_spec_from_string():
         spec_from_string("linf")
     with pytest.raises(InputError):
         spec_from_string("snowflake:abc")
+
+
+# ------------------------------------------------------- coordinate bounds
+
+BOUND_SPECS = [
+    Lp(1.0),
+    L2,
+    Lp(3.0),
+    Lp(400.0),  # p-th powers underflow: distinct points can read distance 0
+    PowerQuasi(L2, 2.0),
+    PowerQuasi(Lp(3.0), 3.5),
+    Snowflake(L2, 0.5),
+    Snowflake(L2, 0.1),
+    Scaled(L2, 3.0),
+    Scaled(PowerQuasi(L2, 2.0), 1e-3),
+]
+
+
+@settings(deadline=None, max_examples=120)
+@given(
+    seed=st.integers(0, 10**6),
+    spec_idx=st.integers(0, len(BOUND_SPECS) - 1),
+    d=st.integers(1, 4),
+    log_scale=st.sampled_from([-200, -160, -20, -1, 0, 3, 100]),
+)
+def test_coordinate_radius_bounds_coordinate_gaps(seed, spec_idx, d, log_scale):
+    # every pair with d(x, y) <= t has max_k |x_k - y_k| <= coordinate_radius(t);
+    # t = d(x, y) is the tightest case
+    spec = BOUND_SPECS[spec_idx]
+    rng = np.random.default_rng(seed)
+    pts = rng.random((25, d)) * 10.0**log_scale
+    pts[rng.integers(0, 25, 5)] = pts[rng.integers(0, 25, 5)]
+    with np.errstate(over="ignore", under="ignore"):
+        for i in range(len(pts)):
+            dists = spec.one_to_many(pts[i], pts)
+            gaps = np.abs(pts - pts[i]).max(axis=1)
+            for t, gap in zip(dists.tolist(), gaps.tolist()):
+                assert gap <= spec.coordinate_radius(t)
+            t = float(np.median(dists))
+            assert np.all(gaps[dists <= t] <= spec.coordinate_radius(t))
