@@ -12,7 +12,7 @@ from .dimension import (
     mst_dimension,
     packing_lower_bound_check,
 )
-from .energy import EnergyReport, count_edges_longer_than, dyadic_energy_bound, energy, theorem1_bound
+from .energy import EnergyReport, count_edges_longer_than, energies, energy
 from .errors import (
     CheckFailedError,
     DegenerateInputError,
@@ -43,11 +43,11 @@ from .metric import (
     DistanceSpec,
     Lp,
     PointCloud,
+    Power,
     PowerQuasi,
     Snowflake,
     distance,
     read_cloud,
-    rescale_to_unit_diameter,
     validate_quasi_metric,
     write_cloud,
 )

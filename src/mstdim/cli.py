@@ -30,7 +30,7 @@ from .dimension import (
     least_squares_line,
     mst_dimension,
 )
-from .energy import energy
+from .energy import energies, energy
 from .errors import CheckFailedError, InputError, ToolkitError
 from .generators import SHAPE_NAMES, builtin_shape, generate_uniform, shape_family
 from .lemma_checks import (
@@ -113,18 +113,22 @@ def _finish(manifest: RunManifest, out_path) -> None:
         fh.write("\n")
 
 
-def _parse_float_list(text: str) -> list:
-    try:
-        return [float(x) for x in text.split(",") if x.strip()]
-    except ValueError:
-        raise InputError(f"expected a comma-separated number list, got {text!r}")
+def _write_output(manifest: RunManifest, path, text: str) -> None:
+    """Write ``text`` to ``path`` with LF endings, then its manifest sidecar."""
+    with open(path, "w", newline="\n") as fh:
+        fh.write(text)
+    _finish(manifest, path)
 
 
-def _parse_int_list(text: str) -> list:
+def _parse_list(text: str, kind) -> list:
+    """A non-empty comma-separated list of ``kind`` (int or float) values."""
     try:
-        return [int(x) for x in text.split(",") if x.strip()]
+        values = [kind(x) for x in text.split(",") if x.strip()]
     except ValueError:
-        raise InputError(f"expected a comma-separated integer list, got {text!r}")
+        values = []
+    if not values:
+        raise InputError(f"expected a comma-separated {kind.__name__} list, got {text!r}")
+    return values
 
 
 # ----------------------------------------------------------------- generate
@@ -172,13 +176,11 @@ def cmd_mst(args) -> int:
 
 def cmd_energy(args) -> int:
     tree = read_tree(args.tree)
+    manifest = _manifest("energy", args, None, inputs=[args.tree])
     report = energy(tree, args.alpha)
     print(format_float(report.value))
     if args.out:
-        manifest = _manifest("energy", args, None, inputs=[args.tree])
-        with open(args.out, "w", newline="\n") as fh:
-            fh.write(report.to_text())
-        _finish(manifest, args.out)
+        _write_output(manifest, args.out, report.to_text())
     return 0
 
 
@@ -188,6 +190,7 @@ def cmd_energy(args) -> int:
 def cmd_dim_box(args) -> int:
     spec = spec_from_string(args.metric)
     cloud = read_cloud(args.infile)
+    manifest = _manifest("dim-box", args, None, inputs=[args.infile])
     window = WindowPolicy(min_count=args.window_min, max_fraction=args.window_frac)
     estimate = box_dimension(
         cloud,
@@ -203,16 +206,9 @@ def cmd_dim_box(args) -> int:
         f"window {estimate.window}"
     )
     if args.out:
-        manifest = _manifest("dim-box", args, None, inputs=[args.infile])
-        with open(args.out, "w", newline="\n") as fh:
-            fh.write(estimate.to_text())
-            fh.write("\n")
-        _finish(manifest, args.out)
+        _write_output(manifest, args.out, estimate.to_text() + "\n")
     if args.csv:
-        manifest = _manifest("dim-box", args, None, inputs=[args.infile])
-        with open(args.csv, "w", newline="\n") as fh:
-            fh.write(eps_count_csv(estimate))
-        _finish(manifest, args.csv)
+        _write_output(manifest, args.csv, eps_count_csv(estimate))
     return 0
 
 
@@ -222,11 +218,12 @@ def cmd_dim_box(args) -> int:
 def cmd_dim_mst(args) -> int:
     spec = spec_from_string(args.metric)
     family = shape_family(args.shape, dim=args.dim)
+    manifest = _manifest("dim-mst", args, args.seed)
     estimate = mst_dimension(
         family,
         spec,
-        sizes=_parse_int_list(args.sizes),
-        alphas=_parse_float_list(args.alphas),
+        sizes=_parse_list(args.sizes, int),
+        alphas=_parse_list(args.alphas, float),
         seed=args.seed,
         reps=args.reps,
     )
@@ -237,16 +234,9 @@ def cmd_dim_mst(args) -> int:
         f"crossover alpha {crossover}, window {estimate.window}"
     )
     if args.out:
-        manifest = _manifest("dim-mst", args, args.seed)
-        with open(args.out, "w", newline="\n") as fh:
-            fh.write(estimate.to_text())
-            fh.write("\n")
-        _finish(manifest, args.out)
+        _write_output(manifest, args.out, estimate.to_text() + "\n")
     if args.csv:
-        manifest = _manifest("dim-mst", args, args.seed)
-        with open(args.csv, "w", newline="\n") as fh:
-            fh.write(energy_table_csv(estimate))
-        _finish(manifest, args.csv)
+        _write_output(manifest, args.csv, energy_table_csv(estimate))
     return 0
 
 
@@ -337,8 +327,8 @@ def cmd_verify(args) -> int:
 # -------------------------------------------------------------------- scale
 
 
-def _svg_loglog(series, path, title):
-    """Hand-rolled scatter + fitted-line plot on log-log axes."""
+def _svg_loglog(series, title) -> str:
+    """Hand-rolled scatter + fitted-line plot on log-log axes, as SVG text."""
     width, height, margin = 640, 480, 60
     xs_all = [x for _, pts, _ in series for x, _ in pts]
     ys_all = [y for _, pts, _ in series for _, y in pts]
@@ -383,18 +373,18 @@ def _svg_loglog(series, path, title):
             f'fill="{color}" text-anchor="start">{label}</text>'
         )
     parts.append("</svg>")
-    with open(path, "w", newline="\n") as fh:
-        fh.write("\n".join(parts))
-        fh.write("\n")
+    return "\n".join(parts) + "\n"
 
 
 def cmd_scale(args) -> int:
     spec = spec_from_string(args.metric)
     family = shape_family(args.shape, dim=args.dim)
-    sizes = _parse_int_list(args.sizes)
-    alphas = _parse_float_list(args.alphas)
-    seeds = _parse_int_list(args.seeds)
-    manifest = _manifest("scale", args, seeds[0] if seeds else 0)
+    sizes = _parse_list(args.sizes, int)
+    alphas = _parse_list(args.alphas, float)
+    seeds = _parse_list(args.seeds, int)
+    if min(sizes) < 2:
+        raise InputError(f"scale needs sizes >= 2 (a tree with edges), got {min(sizes)}")
+    manifest = _manifest("scale", args, seeds[0])
     rows = ["shape,n,alpha,seed,energy,max_edge"]
     measured = {}
     cell = 0
@@ -405,20 +395,15 @@ def cmd_scale(args) -> int:
             if args.progress:
                 print(f"cell {cell}/{total_cells}", file=sys.stderr)
             cloud = family.generate(n, seed=seed)
-            tree = build_mst_prim(cloud, spec)
-            lengths = np.sort(tree.lengths())
-            max_edge = float(lengths[-1]) if lengths.size else 0.0
-            for alpha in alphas:
-                value = float(np.sum(lengths[lengths > 0.0] ** alpha))
+            lengths = build_mst_prim(cloud, spec).lengths()
+            max_edge = float(lengths.max())
+            for alpha, value in zip(alphas, energies(lengths, alphas)):
                 rows.append(
                     f"{args.shape},{n},{format_float(alpha)},{seed},"
                     f"{format_float(value)},{format_float(max_edge)}"
                 )
                 measured.setdefault(alpha, {}).setdefault(n, []).append(value)
-    with open(args.out, "w", newline="\n") as fh:
-        fh.write("\n".join(rows))
-        fh.write("\n")
-    _finish(manifest, args.out)
+    _write_output(manifest, args.out, "\n".join(rows) + "\n")
     print(f"wrote {len(rows) - 1} measurements to {args.out}")
     if args.svg:
         series = []
@@ -435,8 +420,7 @@ def cmd_scale(args) -> int:
                 )
                 fit = (slope, intercept)
             series.append((f"alpha={alpha:g}", pts, fit))
-        _svg_loglog(series, args.svg, f"{args.shape}: energy growth")
-        _finish(manifest, args.svg)
+        _write_output(manifest, args.svg, _svg_loglog(series, f"{args.shape}: energy growth"))
         print(f"wrote plot to {args.svg}")
     return 0
 

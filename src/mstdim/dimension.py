@@ -19,11 +19,12 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .energy import energies
 from .errors import EstimationError, InputError, InsufficientScalesError
 from .generators import ShapeFamily
 from .metric import DistanceSpec, PointCloud, diameter
 from .mst import build_mst_prim
-from .reports import CheckReport, format_float
+from .reports import CheckReport, _jsonable, format_float
 
 __all__ = [
     "PackingResult",
@@ -185,26 +186,14 @@ class DimensionEstimate:
     def to_text(self) -> str:
         record = {
             "method": self.method,
-            "value": float(format_float(self.value)),
-            "slope": float(format_float(self.slope)),
-            "r_squared": float(format_float(self.r_squared)),
-            "fit_points": [[float(format_float(a)), float(format_float(b))] for a, b in self.fit_points],
+            "value": self.value,
+            "slope": self.slope,
+            "r_squared": self.r_squared,
+            "fit_points": self.fit_points,
             "window": self.window,
-            "details": _plain(self.details),
+            "details": self.details,
         }
-        return json.dumps(record, indent=2)
-
-
-def _plain(value):
-    if isinstance(value, dict):
-        return {str(k): _plain(v) for k, v in value.items()}
-    if isinstance(value, (list, tuple)):
-        return [_plain(v) for v in value]
-    if isinstance(value, float):
-        return float(format_float(value))
-    if hasattr(value, "item"):
-        return _plain(value.item())
-    return value
+        return json.dumps(_jsonable(record), indent=2)
 
 
 def default_eps_schedule(diam: float, ratio: float = 0.5, max_scales: int = 60):
@@ -305,8 +294,8 @@ def mst_dimension(
     alphas = sorted(float(a) for a in alphas)
     if len(sizes) < 3:
         raise InputError("need at least 3 sizes for a growth fit")
-    if not alphas or any(a <= 0 for a in alphas):
-        raise InputError("alphas must be positive")
+    if not alphas:
+        raise InputError("need at least one alpha")
     if len(set(sizes)) != len(sizes):
         raise InputError("sizes must be distinct")
     n_reps = reps if family.is_random else 1
@@ -322,10 +311,7 @@ def mst_dimension(
                 rep_seed = 0
             cloud = family.generate(size, seed=rep_seed)
             tree = build_mst_prim(cloud, spec)
-            lengths = np.sort(tree.lengths())
-            nonzero = lengths[lengths > 0.0]
-            for a in alphas:
-                val = float(np.sum(nonzero**a))
+            for a, val in zip(alphas, energies(tree.lengths(), alphas)):
                 if val <= 0.0:
                     raise EstimationError(
                         f"zero energy at size {size}, alpha {a}",
@@ -393,16 +379,14 @@ def packing_lower_bound_check(
     must exceed 2 eps, hence the alpha-energy of their tree is at least
     (count - 1) (2 eps)^alpha. Reports both sides.
     """
-    if alpha <= 0:
-        raise InputError("alpha must be > 0")
     packing = greedy_packing(cloud, spec, eps)
     if packing.count < 2:
         raise InputError("packing produced fewer than 2 centers, nothing to check")
     centers = PointCloud(cloud.points[packing.center_indices])
     tree = build_mst_prim(centers, spec)
-    lengths = np.sort(tree.lengths())
-    min_edge = float(lengths[0])
-    energy_value = float(np.sum(lengths**alpha))
+    lengths = tree.lengths()
+    min_edge = float(lengths.min())
+    (energy_value,) = energies(lengths, [alpha])
     bound = (packing.count - 1) * (2.0 * eps) ** alpha
     edges_ok = min_edge > 2.0 * eps
     energy_ok = energy_value >= bound * (1.0 - 1e-12)

@@ -1,16 +1,16 @@
-"""Edge-length energy functionals and their closed-form bounds.
+"""Edge-length energy functionals.
 
 The alpha-energy of a tree is the sum of edge lengths raised to alpha.
 Reports carry a dyadic histogram: band k counts the edges with length in
 (2^-k-1, 2^-k], anchored at the absolute scale 1 with an explicit overflow
-band for lengths above 1 (rescale to unit diameter first if band indices
-should match the normalized convention). Zero-length edges, which duplicate
-points produce, are tracked separately so they never distort the histogram.
+band for lengths above 1 (divide the coordinates by the cloud diameter
+first if band indices should match the normalized convention). Zero-length
+edges, which duplicate points produce, are tracked separately so they never
+distort the histogram.
 """
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field
 
@@ -23,12 +23,9 @@ from .reports import format_float
 __all__ = [
     "EnergyReport",
     "energy",
+    "energies",
     "count_edges_longer_than",
-    "theorem1_bound",
-    "dyadic_energy_bound",
-    "DyadicBoundResult",
     "dyadic_band_index",
-    "report_from_text",
 ]
 
 
@@ -79,32 +76,29 @@ class EnergyReport:
         )
 
 
-def report_from_text(text: str) -> EnergyReport:
-    record = json.loads(text)
-    return EnergyReport(
-        alpha=float(record["alpha"]),
-        value=float(record["value"]),
-        max_edge=float(record["max_edge"]),
-        n=int(record["n"]),
-        bands={int(k): int(c) for k, c in record["bands"]},
-        overflow=int(record.get("overflow", 0)),
-        zero_edges=int(record.get("zero_edges", 0)),
-    )
+def energies(lengths, alphas) -> list:
+    """Sum of length^alpha over the nonzero lengths, for each alpha.
+
+    Summation runs in ascending length order (fixed order keeps results
+    reproducible and reduces cancellation). Zero lengths, which duplicate
+    points produce, are left out. Every alpha must be finite and > 0
+    (alpha = 0 would count the edges).
+    """
+    alphas = list(alphas)
+    for a in alphas:
+        if not (math.isfinite(a) and a > 0):
+            raise InputError(f"alpha must be finite and > 0, got {a}")
+    lengths = np.sort(lengths)
+    nonzero = lengths[lengths > 0.0]
+    return [float(np.sum(nonzero**a)) for a in alphas]
 
 
 def energy(tree: SpanningTree, alpha: float) -> EnergyReport:
-    """Sum of length^alpha over the tree's edges, alpha > 0.
-
-    Summation runs in ascending edge-length order (fixed order keeps results
-    reproducible and reduces cancellation). Zero-length edges contribute 0.
-    """
-    if alpha <= 0:
-        raise InputError("alpha must be > 0 (the edge-count case is excluded)")
+    """The alpha-energy of the tree (see ``energies``) with its dyadic
+    length histogram."""
     lengths = np.sort(tree.lengths())
-    if lengths.size == 0:
-        return EnergyReport(alpha=alpha, value=0.0, max_edge=0.0, n=tree.n)
+    (value,) = energies(lengths, [alpha])
     nonzero = lengths[lengths > 0.0]
-    value = float(np.sum(nonzero**alpha))
     bands: dict[int, int] = {}
     overflow = 0
     for length in nonzero:
@@ -116,7 +110,7 @@ def energy(tree: SpanningTree, alpha: float) -> EnergyReport:
     return EnergyReport(
         alpha=alpha,
         value=value,
-        max_edge=float(lengths[-1]),
+        max_edge=float(lengths[-1]) if lengths.size else 0.0,
         n=tree.n,
         bands=bands,
         overflow=overflow,
@@ -129,42 +123,3 @@ def count_edges_longer_than(tree: SpanningTree, eps: float) -> int:
     if eps <= 0:
         raise InputError("eps must be > 0")
     return int(np.count_nonzero(tree.lengths() > eps))
-
-
-def theorem1_bound(n: int, d: int, alpha: float, c_abs: float) -> float:
-    """The closed-form energy cap (c_abs sqrt(d))^alpha * n^max(0, 1 - alpha/d).
-
-    ``c_abs`` is an absolute calibration constant: the sqrt(d) factor is the
-    analytically known dimension dependence, the absolute scale is measured
-    empirically (see lemma_checks.theorem1_check).
-    """
-    if n < 1 or d < 1 or alpha <= 0 or c_abs <= 0:
-        raise InputError("all parameters must be positive")
-    exponent = max(0.0, 1.0 - alpha / d)
-    return (c_abs * math.sqrt(d)) ** alpha * n**exponent
-
-
-@dataclass
-class DyadicBoundResult:
-    realized: float
-    closed_form_cap: float
-
-
-def dyadic_energy_bound(
-    bands: dict, alpha_cap: float, beta: float, cap_const: float = 1.0
-) -> DyadicBoundResult:
-    """Bounds on the beta-energy from a dyadic band histogram.
-
-    ``realized`` evaluates sum_k count_k 2^(-k beta) on the actual counts.
-    ``closed_form_cap`` evaluates the geometric-series value
-    cap_const * 2^alpha_cap / (1 - 2^(alpha_cap - beta)) that follows from the
-    per-band cap count_k <= cap_const * 2^((k+1) alpha_cap). Requires
-    beta > alpha_cap, otherwise the series diverges.
-    """
-    if beta <= alpha_cap:
-        raise InputError("beta must exceed alpha_cap (series diverges otherwise)")
-    realized = 0.0
-    for k in sorted(bands, reverse=True):  # ascending magnitude terms
-        realized += bands[k] * 2.0 ** (-k * beta)
-    closed = cap_const * 2.0**alpha_cap / (1.0 - 2.0 ** (alpha_cap - beta))
-    return DyadicBoundResult(realized=float(realized), closed_form_cap=float(closed))

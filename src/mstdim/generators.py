@@ -303,41 +303,6 @@ class ShapeFamily:
     def is_random(self) -> bool:
         return self.name == "uniform-cube"
 
-    @property
-    def known_dim(self) -> float:
-        if self.name in _IFS_BUILDERS:
-            return _IFS_BUILDERS[self.name]().similarity_dim
-        if self.name == "interval":
-            return 1.0
-        return float(2 if self.dim is None else self.dim)
-
-    def _branching(self) -> int | None:
-        if self.name in _IFS_BUILDERS:
-            return len(_IFS_BUILDERS[self.name]().maps)
-        return None
-
-    def achievable_sizes(self, lo: int, hi: int) -> list[int]:
-        """All exactly-generatable sizes in [lo, hi], ascending."""
-        if self.name in ("uniform-cube", "interval"):
-            return list(range(max(lo, 2), hi + 1))
-        if self.name == "grid":
-            d = 2 if self.dim is None else self.dim
-            out = []
-            side = 2
-            while side**d <= hi:
-                if side**d >= lo:
-                    out.append(side**d)
-                side += 1
-            return out
-        m = self._branching()
-        out = []
-        depth = 0
-        while m**depth <= hi:
-            if m**depth >= lo:
-                out.append(m**depth)
-            depth += 1
-        return out
-
     def generate(self, size: int, seed: int = 0) -> PointCloud:
         """Generate the family member with exactly ``size`` points."""
         if self.name == "uniform-cube":
@@ -352,11 +317,12 @@ class ShapeFamily:
                     cloud = generate_grid(candidate, d, self.budget)
                     return cloud
             raise InputError(f"{size} is not side^{d} for any integer side")
-        m = self._branching()
+        system = _IFS_BUILDERS[self.name]()
+        m = len(system.maps)
         depth = round(math.log(size, m)) if size > 1 else 0
         if m**depth != size:
             raise InputError(f"{size} is not a power of {m} (shape {self.name})")
-        cloud = generate_ifs_depth(_IFS_BUILDERS[self.name](), depth, self.budget)
+        cloud = generate_ifs_depth(system, depth, self.budget)
         if cloud.n != size:
             raise InputError(
                 f"{self.name} at depth {depth} produced {cloud.n} points, "

@@ -21,7 +21,8 @@ import numpy as np
 
 from .errors import InputError, UnsupportedMetricError
 from .generators import generate_uniform
-from .metric import DistanceSpec, Lp, PointCloud
+from .energy import energies
+from .metric import DistanceSpec, Lp, PointCloud, triangle_rows
 from .mst import SpanningTree, build_mst_prim
 from .reports import CheckReport
 
@@ -32,7 +33,6 @@ __all__ = [
     "lemma4_check",
     "theorem1_check",
     "normalized_constant",
-    "long_edge_volume_bound",
 ]
 
 SQRT3_OVER_2 = math.sqrt(3.0) / 2.0
@@ -130,8 +130,7 @@ def _detect_length_ties(cloud: PointCloud, spec: DistanceSpec, cap: int = 1500):
     n = cloud.n
     if n > cap:
         return None
-    pts = cloud.points
-    rows = [spec.one_to_many(pts[i], pts[i + 1 :]) for i in range(n - 1)]
+    rows = list(triangle_rows(spec, cloud.points))
     if not rows:
         return False
     lengths = np.concatenate(rows)
@@ -231,11 +230,7 @@ def lemma4_check(
             min_slack=None,
             details={"long_edges": len(chosen)},
         )
-    pts = cloud.points[chosen]
-    min_dist = math.inf
-    for i in range(len(chosen) - 1):
-        row = spec.one_to_many(pts[i], pts[i + 1 :])
-        min_dist = min(min_dist, float(row.min()))
+    min_dist = min(float(row.min()) for row in triangle_rows(spec, cloud.points[chosen]))
     return CheckReport(
         name="lemma4",
         parameters={
@@ -284,9 +279,7 @@ def theorem1_check(
         for seed in seeds:
             cloud = generate_uniform(n, d, seed)
             tree = build_mst_prim(cloud, Lp(2.0))
-            lengths = np.sort(tree.lengths())
-            for a in alphas:
-                value = float(np.sum(lengths**a))
+            for a, value in zip(alphas, energies(tree.lengths(), alphas)):
                 table[a][n].append(normalized_constant(value, n, d, a))
     max_c = 0.0
     trends = {}
@@ -318,14 +311,3 @@ def theorem1_check(
             "trends": {str(a): trends[a] for a in alphas},
         },
     )
-
-
-def long_edge_volume_bound(d: int, eps: float) -> float:
-    """Volume cap on the number of edges longer than eps in a greedy tree over
-    [0,1]^d with the l2 metric: disjoint balls of radius eps/3 around the
-    later endpoints all fit inside the eps/3-fattened cube."""
-    if d < 1 or eps <= 0:
-        raise InputError("d and eps must be positive")
-    ball = math.pi ** (d / 2.0) / math.gamma(d / 2.0 + 1.0) * (eps / 3.0) ** d
-    box = (1.0 + 2.0 * eps / 3.0) ** d
-    return box / ball

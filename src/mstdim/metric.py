@@ -9,6 +9,9 @@ Distances come in three user-facing families:
   quasi-metric: it satisfies d(x,y) <= C_w (d(x,z) + d(z,y)) with
   C_w = 2**(p-1) instead of the triangle inequality.
 
+Both build one ``Power(base, e)`` spec; they differ only in the range of e
+they accept.
+
 Each spec declares its weak-triangle constant analytically from its kind;
 ``validate_quasi_metric`` can only falsify the declaration, never tighten it.
 All oracles are pure functions of their arguments and exactly symmetric.
@@ -21,21 +24,20 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateInputError, InputError
+from .errors import InputError
 from .reports import format_float
 
 __all__ = [
     "PointCloud",
     "DistanceSpec",
     "Lp",
+    "Power",
     "Snowflake",
     "PowerQuasi",
-    "Scaled",
     "distance",
     "validate_quasi_metric",
     "QuasiMetricReport",
-    "rescale_to_unit_diameter",
-    "RescaledSpace",
+    "triangle_rows",
     "diameter",
     "spec_from_string",
     "read_cloud",
@@ -154,6 +156,24 @@ class Lp(DistanceSpec):
     def weak_triangle_const(self) -> float:
         return 1.0
 
+    def _term(self, x):
+        """|x| ** p in place, with the exact forms for p = 2 and p = 1."""
+        if self.p == 2.0:
+            np.multiply(x, x, out=x)
+        else:
+            np.abs(x, out=x)
+            if self.p != 1.0:
+                np.power(x, self.p, out=x)
+        return x
+
+    def _root(self, x):
+        """x ** (1 / p) in place."""
+        if self.p == 2.0:
+            np.sqrt(x, out=x)
+        elif self.p != 1.0:
+            np.power(x, 1.0 / self.p, out=x)
+        return x
+
     def one_to_many(self, a, pts, out=None):
         a = np.asarray(a, dtype=np.float64)
         pts = np.asarray(pts, dtype=np.float64)
@@ -161,51 +181,19 @@ class Lp(DistanceSpec):
         m, d = pts.shape
         if out is None:
             out = np.empty(m)
-        if self.p == 2.0:
-            np.subtract(pts[:, 0], a[0], out=out)
-            np.multiply(out, out, out=out)
-            if d > 1:
-                tmp = np.empty(m)
-                for k in range(1, d):
-                    np.subtract(pts[:, k], a[k], out=tmp)
-                    np.multiply(tmp, tmp, out=tmp)
-                    np.add(out, tmp, out=out)
-            np.sqrt(out, out=out)
-            return out
-        if self.p == 1.0:
-            np.subtract(pts[:, 0], a[0], out=out)
-            np.abs(out, out=out)
-            if d > 1:
-                tmp = np.empty(m)
-                for k in range(1, d):
-                    np.subtract(pts[:, k], a[k], out=tmp)
-                    np.abs(tmp, out=tmp)
-                    np.add(out, tmp, out=out)
-            return out
-        np.subtract(pts[:, 0], a[0], out=out)
-        np.abs(out, out=out)
-        np.power(out, self.p, out=out)
+        self._term(np.subtract(pts[:, 0], a[0], out=out))
         if d > 1:
             tmp = np.empty(m)
             for k in range(1, d):
-                np.subtract(pts[:, k], a[k], out=tmp)
-                np.abs(tmp, out=tmp)
-                np.power(tmp, self.p, out=tmp)
-                np.add(out, tmp, out=out)
-        np.power(out, 1.0 / self.p, out=out)
-        return out
+                np.add(out, self._term(np.subtract(pts[:, k], a[k], out=tmp)), out=out)
+        return self._root(out)
 
     def pairs(self, lhs, rhs):
         lhs = np.asarray(lhs, dtype=np.float64)
         rhs = np.asarray(rhs, dtype=np.float64)
         if lhs.shape != rhs.shape:
             raise InputError("pairs requires arrays of identical shape")
-        diff = np.abs(lhs - rhs)
-        if self.p == 2.0:
-            return np.sqrt((diff * diff).sum(axis=-1))
-        if self.p == 1.0:
-            return diff.sum(axis=-1)
-        return (diff**self.p).sum(axis=-1) ** (1.0 / self.p)
+        return self._root(self._term(lhs - rhs).sum(axis=-1))
 
     def coordinate_radius(self, t: float) -> float:
         # The largest term |a_k - b_k| ** p alone reaches the distance; below
@@ -221,98 +209,52 @@ class Lp(DistanceSpec):
 
 
 @dataclass(frozen=True)
-class Snowflake(DistanceSpec):
-    """theta-th power of a base distance, 0 < theta <= 1."""
+class Power(DistanceSpec):
+    """e-th power of a base distance, e > 0. A metric when e <= 1 and the
+    base is one (a snowflake), a quasi-metric for e > 1."""
 
     base: DistanceSpec
-    theta: float
+    e: float
 
     def __post_init__(self):
-        if not (0.0 < self.theta <= 1.0):
-            raise InputError(f"Snowflake requires theta in (0, 1], got {self.theta}")
+        if not (np.isfinite(self.e) and self.e > 0.0):
+            raise InputError(f"Power requires a finite exponent > 0, got {self.e}")
 
     @property
     def weak_triangle_const(self) -> float:
-        # (C (a+b))^theta <= C^theta (a^theta + b^theta) since theta <= 1
-        return self.base.weak_triangle_const**self.theta
+        # (C (a+b))^e <= C^e (a^e + b^e) for e <= 1, and
+        # <= C^e 2^(e-1) (a^e + b^e) for e >= 1 by convexity of t^e
+        return self.base.weak_triangle_const**self.e * 2.0 ** max(0.0, self.e - 1.0)
 
     def one_to_many(self, a, pts, out=None):
         d = self.base.one_to_many(a, pts, out)
-        np.power(d, self.theta, out=d)
+        np.power(d, self.e, out=d)
         return d
 
     def pairs(self, lhs, rhs):
-        return self.base.pairs(lhs, rhs) ** self.theta
+        return self.base.pairs(lhs, rhs) ** self.e
 
     def coordinate_radius(self, t: float) -> float:
-        return self.base.coordinate_radius(_power_preimage(t, self.theta))
+        return self.base.coordinate_radius(_power_preimage(t, self.e))
 
     def describe(self) -> str:
-        return f"snowflake:{format_float(self.theta)}({self.base.describe()})"
+        kind = "snowflake" if self.e <= 1.0 else "powerquasi"
+        return f"{kind}:{format_float(self.e)}({self.base.describe()})"
 
 
-@dataclass(frozen=True)
-class PowerQuasi(DistanceSpec):
+def Snowflake(base: DistanceSpec, theta: float) -> Power:
+    """theta-th power of a base distance, 0 < theta <= 1 (multiplies
+    dimension by 1 / theta)."""
+    if not (0.0 < theta <= 1.0):
+        raise InputError(f"Snowflake requires theta in (0, 1], got {theta}")
+    return Power(base, theta)
+
+
+def PowerQuasi(base: DistanceSpec, p: float) -> Power:
     """p-th power of a base distance, p >= 1. A quasi-metric for p > 1."""
-
-    base: DistanceSpec
-    p: float
-
-    def __post_init__(self):
-        if not (np.isfinite(self.p) and self.p >= 1.0):
-            raise InputError(f"PowerQuasi requires p >= 1, got {self.p}")
-
-    @property
-    def weak_triangle_const(self) -> float:
-        # (C(a+b))^p <= C^p 2^(p-1) (a^p + b^p) by convexity of t^p
-        return self.base.weak_triangle_const**self.p * 2.0 ** (self.p - 1.0)
-
-    def one_to_many(self, a, pts, out=None):
-        d = self.base.one_to_many(a, pts, out)
-        np.power(d, self.p, out=d)
-        return d
-
-    def pairs(self, lhs, rhs):
-        return self.base.pairs(lhs, rhs) ** self.p
-
-    def coordinate_radius(self, t: float) -> float:
-        return self.base.coordinate_radius(_power_preimage(t, self.p))
-
-    def describe(self) -> str:
-        return f"powerquasi:{format_float(self.p)}({self.base.describe()})"
-
-
-@dataclass(frozen=True)
-class Scaled(DistanceSpec):
-    """Base distance divided by a positive constant (unit-diameter views)."""
-
-    base: DistanceSpec
-    divisor: float
-
-    def __post_init__(self):
-        if not (np.isfinite(self.divisor) and self.divisor > 0.0):
-            raise InputError(f"Scaled requires a positive divisor, got {self.divisor}")
-
-    @property
-    def weak_triangle_const(self) -> float:
-        return self.base.weak_triangle_const
-
-    def one_to_many(self, a, pts, out=None):
-        d = self.base.one_to_many(a, pts, out)
-        np.divide(d, self.divisor, out=d)
-        return d
-
-    def pairs(self, lhs, rhs):
-        return self.base.pairs(lhs, rhs) / self.divisor
-
-    def coordinate_radius(self, t: float) -> float:
-        # a quotient below 2 ** -1022 loses relative precision
-        return self.base.coordinate_radius(
-            max(t, 2.0**-1022) * self.divisor * (1.0 + _BOUND_SLACK)
-        )
-
-    def describe(self) -> str:
-        return f"scaled:{format_float(self.divisor)}({self.base.describe()})"
+    if not (np.isfinite(p) and p >= 1.0):
+        raise InputError(f"PowerQuasi requires p >= 1, got {p}")
+    return Power(base, p)
 
 
 def distance(spec: DistanceSpec, a, b) -> float:
@@ -330,16 +272,16 @@ def distance(spec: DistanceSpec, a, b) -> float:
     return float(spec.one_to_many(a, b.reshape(1, -1))[0])
 
 
+def triangle_rows(spec: DistanceSpec, pts):
+    """Row i holds the distances from ``pts[i]`` to every later point, for
+    i = 0 .. len(pts) - 2: the upper triangle of the distance matrix."""
+    for i in range(len(pts) - 1):
+        yield spec.one_to_many(pts[i], pts[i + 1 :])
+
+
 def diameter(cloud: PointCloud, spec: DistanceSpec) -> float:
     """Maximum pairwise distance, by a row-wise scan (O(n^2) evaluations)."""
-    pts = cloud.points
-    best = 0.0
-    for i in range(cloud.n - 1):
-        row = spec.one_to_many(pts[i], pts[i + 1 :])
-        m = float(row.max())
-        if m > best:
-            best = m
-    return best
+    return max((float(row.max()) for row in triangle_rows(spec, cloud.points)), default=0.0)
 
 
 @dataclass
@@ -394,31 +336,6 @@ def validate_quasi_metric(
         witness=(int(idx[k, 0]), int(idx[k, 1]), int(idx[k, 2])),
         passed=max_ratio <= c_w * (1.0 + 1e-9),
     )
-
-
-@dataclass
-class RescaledSpace:
-    """A cloud/spec pair whose diameter is 1, plus the applied scale factor.
-
-    For coordinate metrics (``Lp``) the rescaling divides coordinates; for
-    every other kind the oracle output is divided instead, leaving the
-    coordinates untouched.
-    """
-
-    cloud: PointCloud
-    spec: DistanceSpec
-    scale: float
-
-
-def rescale_to_unit_diameter(cloud: PointCloud, spec: DistanceSpec) -> RescaledSpace:
-    if cloud.n < 2:
-        raise DegenerateInputError("rescaling needs at least 2 points")
-    diam = diameter(cloud, spec)
-    if diam == 0.0:
-        raise DegenerateInputError("all points coincide, diameter is zero")
-    if isinstance(spec, Lp):
-        return RescaledSpace(PointCloud(cloud.points / diam), spec, diam)
-    return RescaledSpace(cloud, Scaled(spec, diam), diam)
 
 
 def spec_from_string(text: str) -> DistanceSpec:

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InputError, ResourceError
-from .metric import DistanceSpec, PointCloud
+from .metric import DistanceSpec, PointCloud, triangle_rows
 from .reports import format_float
 
 __all__ = [
@@ -143,16 +143,15 @@ def build_mst_kruskal(cloud: PointCloud, spec: DistanceSpec) -> SpanningTree:
         raise ResourceError(
             f"kruskal would materialize {pairs} edges; build with prim instead"
         )
-    pts = cloud.points
     iu = np.empty(pairs, dtype=np.int64)
     ju = np.empty(pairs, dtype=np.int64)
     lengths = np.empty(pairs)
     pos = 0
-    for i in range(n - 1):
+    for i, row in enumerate(triangle_rows(spec, cloud.points)):
         m = n - 1 - i
         iu[pos : pos + m] = i
         ju[pos : pos + m] = np.arange(i + 1, n)
-        lengths[pos : pos + m] = spec.one_to_many(pts[i], pts[i + 1 :])
+        lengths[pos : pos + m] = row
         pos += m
     order = np.lexsort((ju, iu, lengths))
     uf = _UnionFind(n)

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 import xml.etree.ElementTree as ET
@@ -309,6 +310,69 @@ def test_scale_row_order_fixed_by_grid(tmp_path, capsys):
     ]
     # rows follow the fixed (size, seed, alpha) nesting of the command
     assert key == [(n, a, s) for n in (64, 128) for s in (3, 4) for a in (0.5, 1.0)]
+
+
+# ------------------------------------------------------------- manifests
+
+
+def test_every_output_file_has_a_manifest(tmp_path, capsys):
+    cloud = tmp_path / "c.csv"
+    tree = tmp_path / "t.json"
+    assert run(capsys, "generate", "--shape", "cantor", "--depth", "9", "--out", str(cloud))[0] == 0
+    cases = [
+        (["mst", "--in", str(cloud), "--out", str(tree)], ["t.json"], cloud),
+        (["energy", "--tree", str(tree), "--alpha", "1", "--out", str(tmp_path / "e.json")],
+         ["e.json"], tree),
+        (["dim-box", "--in", str(cloud), "--ratio", str(1 / 3), "--out",
+          str(tmp_path / "b.json"), "--csv", str(tmp_path / "b.csv")], ["b.json", "b.csv"], cloud),
+        (["dim-mst", "--shape", "interval", "--sizes", "64,128,256", "--alphas", "0.5",
+          "--seed", "1", "--out", str(tmp_path / "d.json"), "--csv", str(tmp_path / "d.csv")],
+         ["d.json", "d.csv"], None),
+        (["scale", "--shape", "interval", "--sizes", "8,16", "--alphas", "1", "--seeds", "0",
+          "--out", str(tmp_path / "s.csv"), "--svg", str(tmp_path / "s.svg")],
+         ["s.csv", "s.svg"], None),
+    ]
+    for argv, outputs, source in cases:
+        assert run(capsys, *argv)[0] == 0, argv
+        digest = {} if source is None else {
+            str(source): hashlib.sha256(source.read_bytes()).hexdigest()
+        }
+        for name in outputs:
+            manifest = json.loads((tmp_path / f"{name}.manifest.json").read_text())
+            assert manifest["command"] == argv[0], name
+            assert manifest["input_digest"] == digest, name
+
+
+# ------------------------------------------------------- invalid arguments
+
+_SCALE = ["scale", "--shape", "uniform-cube", "--seeds", "0", "--out", "{dir}/s.csv"]
+_DIM_MST = ["dim-mst", "--shape", "interval", "--seed", "1", "--out", "{dir}/d.json"]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["energy", "--tree", "{tree}", "--alpha", "nan", "--out", "{dir}/e.json"],
+        ["energy", "--tree", "{tree}", "--alpha", "inf", "--out", "{dir}/e.json"],
+        _SCALE + ["--sizes", "8,16", "--alphas=-1,0"],
+        _DIM_MST + ["--sizes", "64,128,256", "--alphas", "nan,1"],
+        _SCALE + ["--sizes", "1,2", "--alphas", "1", "--svg", "{dir}/s.svg"],
+        _SCALE + ["--sizes", ",", "--alphas", "1", "--svg", "{dir}/s.svg"],
+        _DIM_MST + ["--sizes", "64,128,256", "--alphas", " , "],
+    ],
+    ids=["energy-nan", "energy-inf", "scale-alpha-nonpositive", "dim-mst-nan",
+         "scale-size-1", "scale-no-sizes", "dim-mst-no-alphas"],
+)
+def test_invalid_numeric_arguments_exit_2(tmp_path, capsys, argv):
+    cloud, tree = tmp_path / "sq.csv", tmp_path / "sq.json"
+    write_cloud(PointCloud([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0]]), cloud)
+    assert run(capsys, "mst", "--in", str(cloud), "--out", str(tree))[0] == 0
+    before = set(tmp_path.iterdir())
+    code, stdout, err = run(capsys, *[a.format(tree=tree, dir=tmp_path) for a in argv])
+    assert code == 2
+    assert stdout == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert set(tmp_path.iterdir()) == before  # nothing written
 
 
 # ---------------------------------------------------------------- exit codes

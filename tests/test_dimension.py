@@ -17,8 +17,7 @@ from mstdim.dimension import (
 )
 from mstdim.errors import EstimationError, InputError, InsufficientScalesError
 from mstdim.generators import builtin_shape, generate_grid, shape_family
-from mstdim.lemma_checks import long_edge_volume_bound
-from mstdim.metric import DistanceSpec, Lp, PointCloud, PowerQuasi, Scaled, Snowflake
+from mstdim.metric import DistanceSpec, Lp, PointCloud, PowerQuasi, Snowflake
 from mstdim.mst import build_mst_prim
 from mstdim.energy import count_edges_longer_than
 
@@ -74,7 +73,6 @@ PACKING_SPECS = [
     Lp(3.0),
     PowerQuasi(L2, 2.0),
     Snowflake(L2, 0.5),
-    Scaled(L2, 3.0),
 ]
 
 
@@ -332,8 +330,9 @@ def test_mst_dim_validation():
     fam = shape_family("interval")
     with pytest.raises(InputError):
         mst_dimension(fam, L2, sizes=[64, 128], alphas=[0.5], seed=0)
-    with pytest.raises(InputError):
-        mst_dimension(fam, L2, sizes=[64, 128, 256], alphas=[-1.0], seed=0)
+    for bad in (-1.0, math.nan, math.inf):
+        with pytest.raises(InputError):
+            mst_dimension(fam, L2, sizes=[64, 128, 256], alphas=[bad, 1.0], seed=0)
     with pytest.raises(InputError):
         mst_dimension(
             shape_family("uniform-cube", dim=2),
@@ -377,6 +376,15 @@ def test_packing_bound_needs_two_centers():
 # ----------------------------------------------------- volume count bound
 
 
+def _long_edge_volume_bound(d, eps):
+    """Volume cap on the number of edges longer than eps in a greedy tree over
+    [0,1]^d with the l2 metric: disjoint balls of radius eps/3 around the
+    later endpoints all fit inside the eps/3-fattened cube."""
+    ball = math.pi ** (d / 2.0) / math.gamma(d / 2.0 + 1.0) * (eps / 3.0) ** d
+    box = (1.0 + 2.0 * eps / 3.0) ** d
+    return box / ball
+
+
 @pytest.mark.parametrize("d", [2, 3])
 def test_long_edge_count_under_volume_bound(d):
     from mstdim.generators import generate_uniform
@@ -385,7 +393,7 @@ def test_long_edge_count_under_volume_bound(d):
     tree = build_mst_prim(cloud, L2)
     for k in range(1, 9):
         eps = 2.0**-k
-        assert count_edges_longer_than(tree, eps) <= long_edge_volume_bound(d, eps)
+        assert count_edges_longer_than(tree, eps) <= _long_edge_volume_bound(d, eps)
 
 
 # ----------------------------------------------------------------- exports

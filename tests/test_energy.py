@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -9,14 +10,12 @@ from mstdim.energy import (
     EnergyReport,
     count_edges_longer_than,
     dyadic_band_index,
-    dyadic_energy_bound,
+    energies,
     energy,
-    report_from_text,
-    theorem1_bound,
 )
 from mstdim.errors import InputError
 from mstdim.generators import builtin_shape, generate_uniform
-from mstdim.metric import Lp, PointCloud, rescale_to_unit_diameter
+from mstdim.metric import Lp, PointCloud, diameter
 from mstdim.mst import SpanningTree, build_mst_prim, build_mst_kruskal
 
 L2 = Lp(2.0)
@@ -76,10 +75,20 @@ def test_half_quarter_bands():
 
 
 def test_alpha_validation():
-    with pytest.raises(InputError):
-        energy(make_tree([1.0]), 0.0)
-    with pytest.raises(InputError):
-        energy(make_tree([1.0]), -1.0)
+    for alpha in (0.0, -1.0, math.nan, math.inf):
+        with pytest.raises(InputError):
+            energy(make_tree([1.0]), alpha)
+        with pytest.raises(InputError):
+            energies([1.0, 0.5], [1.0, alpha])
+
+
+def test_energies_share_the_report_sum():
+    # zero lengths drop out; every alpha sums in ascending length order
+    lengths = [0.5, 0.0, 2.0, 0.25, 0.0]
+    values = energies(lengths, [0.5, 1.0, 3.0])
+    assert values == [energy(make_tree(lengths), a).value for a in (0.5, 1.0, 3.0)]
+    assert values[1] == 2.75
+    assert energies([], [1.0]) == [0.0]
 
 
 def test_zero_edges_tracked_separately():
@@ -121,54 +130,6 @@ def test_cantor_gap_census():
     assert count_edges_longer_than(tree, 3.0**-3) == 7
 
 
-# ---------------------------------------------------------- theorem1_bound
-
-
-def test_bound_alpha_equals_d():
-    for n in (10, 10_000):
-        assert theorem1_bound(n, 3, 3.0, 1.2) == pytest.approx(
-            (1.2 * math.sqrt(3.0)) ** 3.0, rel=1e-12
-        )
-
-
-def test_bound_growing_case():
-    assert theorem1_bound(100, 2, 1.0, 1.0) == pytest.approx(
-        math.sqrt(2.0) * 10.0, rel=1e-15
-    )
-
-
-def test_bound_constant_above_d():
-    assert theorem1_bound(100, 2, 4.0, 1.0) == theorem1_bound(10**6, 2, 4.0, 1.0)
-    with pytest.raises(InputError):
-        theorem1_bound(0, 2, 1.0, 1.0)
-
-
-# ------------------------------------------------------ dyadic energy bound
-
-
-def test_dyadic_bound_single_band():
-    result = dyadic_energy_bound({0: 1}, alpha_cap=0.5, beta=1.0)
-    assert result.realized == 1.0
-
-
-def test_dyadic_bound_closed_form():
-    result = dyadic_energy_bound({}, alpha_cap=1.0, beta=2.0, cap_const=1.0)
-    assert result.closed_form_cap == pytest.approx(4.0, rel=1e-15)
-    with pytest.raises(InputError):
-        dyadic_energy_bound({}, alpha_cap=1.0, beta=1.0)
-
-
-def test_dyadic_bound_dominates_energy_cantor():
-    cloud, _ = builtin_shape("cantor", 8)
-    tree = build_mst_prim(cloud, L2)
-    beta = 0.8
-    report = energy(tree, beta)
-    assert report.overflow == 0
-    result = dyadic_energy_bound(report.bands, alpha_cap=0.64, beta=beta)
-    assert math.isfinite(result.realized)
-    assert result.realized >= report.value
-
-
 # -------------------------------------------------------------- invariants
 
 
@@ -189,8 +150,8 @@ def test_value_matches_direct_sum(seed, n):
 def test_alpha_monotone_when_edges_below_one(seed):
     rng = np.random.default_rng(seed)
     cloud = PointCloud(rng.random((15, 2)))
-    scaled = rescale_to_unit_diameter(cloud, L2)
-    tree = build_mst_prim(scaled.cloud, scaled.spec)
+    cloud = PointCloud(cloud.points / diameter(cloud, L2))
+    tree = build_mst_prim(cloud, L2)
     values = [energy(tree, a).value for a in (0.25, 0.5, 1.0, 2.0, 4.0)]
     for lo, hi in zip(values, values[1:]):
         assert lo >= hi - 1e-15
@@ -239,8 +200,8 @@ def test_supercritical_chain(seed, alpha):
 def test_dyadic_reconstruction_brackets(seed, alpha):
     rng = np.random.default_rng(seed)
     cloud = PointCloud(rng.random((25, 2)))
-    scaled = rescale_to_unit_diameter(cloud, L2)
-    tree = build_mst_prim(scaled.cloud, scaled.spec)
+    cloud = PointCloud(cloud.points / diameter(cloud, L2))
+    tree = build_mst_prim(cloud, L2)
     report = energy(tree, alpha)
     assert report.overflow == 0
     upper = sum(c * (2.0**-k) ** alpha for k, c in report.bands.items())
@@ -256,9 +217,8 @@ def test_report_roundtrip():
     cloud = PointCloud(np.random.default_rng(1).random((12, 2)))
     tree = build_mst_kruskal(cloud, L2)
     report = energy(tree, 1.5)
-    text = report.to_text()
-    back = report_from_text(text)
-    assert back.value == report.value
-    assert back.bands == report.bands
-    assert back.alpha == report.alpha
-    assert back.max_edge == report.max_edge
+    back = json.loads(report.to_text())
+    assert back["value"] == report.value
+    assert {k: c for k, c in back["bands"]} == report.bands
+    assert back["alpha"] == report.alpha
+    assert back["max_edge"] == report.max_edge

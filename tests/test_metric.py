@@ -6,17 +6,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mstdim.errors import DegenerateInputError, InputError
+from mstdim.errors import InputError
 from mstdim.metric import (
     Lp,
     PointCloud,
+    Power,
     PowerQuasi,
-    Scaled,
     Snowflake,
     diameter,
     distance,
     read_cloud,
-    rescale_to_unit_diameter,
     spec_from_string,
     validate_quasi_metric,
     write_cloud,
@@ -42,6 +41,56 @@ def test_powerquasi_squares_distance():
     assert distance(spec, (0.0,), (2.0,)) == 4.0
 
 
+def _reference_terms(p, diff):
+    return diff * diff if p == 2.0 else np.abs(diff) if p == 1.0 else np.abs(diff) ** p
+
+
+def _reference_root(p, total):
+    return np.sqrt(total) if p == 2.0 else total if p == 1.0 else total ** (1.0 / p)
+
+
+@pytest.mark.parametrize("p", [1.0, 2.0, 3.0, 1.5, 7.25])
+@pytest.mark.parametrize("d", [1, 2, 3, 5])
+def test_lp_kernels_match_reference_bitwise(p, d):
+    # reference: |a_k - x_k| ** p summed coordinate by coordinate, then the root
+    rng = np.random.default_rng(d)
+    for pts in (rng.random((200, d)) * 10.0 - 5.0, rng.integers(0, 3, (200, d)) * 0.5):
+        spec = Lp(p)
+        terms = _reference_terms(p, pts - pts[7])
+        total = terms[:, 0].copy()
+        for k in range(1, d):
+            total += terms[:, k]
+        assert np.array_equal(spec.one_to_many(pts[7], pts), _reference_root(p, total))
+        lhs, rhs = pts[:100], pts[100:]
+        expected = _reference_root(p, _reference_terms(p, lhs - rhs).sum(axis=-1))
+        assert np.array_equal(spec.pairs(lhs, rhs), expected)
+
+
+def test_power_specs_are_one_kind():
+    snow, quasi = Snowflake(L2, 0.5), PowerQuasi(L2, 2.0)
+    assert snow == Power(L2, 0.5) and quasi == Power(L2, 2.0)
+    assert snow.describe() == "snowflake:0.5(l2)"
+    assert quasi.describe() == "powerquasi:2(l2)"
+    assert PowerQuasi(Lp(1.0), 1.0).describe() == "snowflake:1(l1)"
+    for e in (0.0, -1.0, float("nan"), float("inf")):
+        with pytest.raises(InputError):
+            Power(L2, e)
+
+
+def test_diameter_matches_pairwise_max():
+    corners = [[0, 0], [1, 0], [1, 1], [0, 1]]
+    assert diameter(PointCloud(corners), L2) == math.sqrt(2.0)
+    assert diameter(PointCloud([[0.5, 0.5]]), L2) == 0.0
+    assert diameter(PointCloud([[1.0, 2.0], [1.0, 2.0]]), L2) == 0.0
+    rng = np.random.default_rng(3)
+    cloud = PointCloud(rng.random((30, 3)))
+    for spec in (L2, Lp(1.0), PowerQuasi(L2, 2.0), Snowflake(L2, 0.5)):
+        best = max(
+            distance(spec, a, b) for a, b in itertools.combinations(cloud.points, 2)
+        )
+        assert diameter(cloud, spec) == best
+
+
 def test_distance_dimension_mismatch():
     with pytest.raises(InputError):
         distance(L2, (0, 0), (1, 2, 3))
@@ -61,8 +110,6 @@ def test_parameter_validation():
         Snowflake(L2, 1.5)
     with pytest.raises(InputError):
         PowerQuasi(L2, 0.9)
-    with pytest.raises(InputError):
-        Scaled(L2, 0.0)
 
 
 def test_weak_triangle_constants():
@@ -82,7 +129,6 @@ ALL_SPECS = [
     Snowflake(Lp(1.0), 0.7),
     PowerQuasi(Lp(2.0), 2.0),
     PowerQuasi(Lp(2.0), 1.5),
-    Scaled(Lp(2.0), 2.5),
 ]
 
 
@@ -158,63 +204,6 @@ def test_validate_needs_three_points():
         validate_quasi_metric(L2, PointCloud([[0.0], [1.0]]), trials=10, seed=0)
     with pytest.raises(InputError):
         validate_quasi_metric(L2, PointCloud([[0.0], [0.5], [1.0]]), trials=0, seed=0)
-
-
-# ---------------------------------------------------------------- rescaling
-
-
-def test_rescale_halves_coordinates():
-    cloud = PointCloud([[0.0, 0.0], [0.0, 2.0]])
-    result = rescale_to_unit_diameter(cloud, L2)
-    assert result.scale == 2.0
-    assert np.array_equal(result.cloud.points, [[0.0, 0.0], [0.0, 1.0]])
-    assert result.spec is L2
-
-
-def test_rescale_identity_when_diameter_one():
-    cloud = PointCloud([[0.0], [1.0]])
-    result = rescale_to_unit_diameter(cloud, Lp(1.0))
-    assert result.scale == 1.0
-    assert np.array_equal(result.cloud.points, cloud.points)
-
-
-def test_rescale_unit_square_corners():
-    # oracle: direct max over all 6 pairs gives sqrt(2)
-    corners = [[0, 0], [1, 0], [1, 1], [0, 1]]
-    best = max(
-        distance(L2, a, b) for a, b in itertools.combinations(corners, 2)
-    )
-    assert best == math.sqrt(2.0)
-    result = rescale_to_unit_diameter(PointCloud(corners), L2)
-    assert result.scale == best
-    assert abs(diameter(result.cloud, result.spec) - 1.0) <= 1e-12
-
-
-def test_rescale_non_coordinate_metric_wraps_oracle():
-    cloud = PointCloud([[0.0], [0.25], [1.0]])
-    spec = Snowflake(L2, 0.5)
-    result = rescale_to_unit_diameter(cloud, spec)
-    assert isinstance(result.spec, Scaled)
-    assert result.cloud is cloud
-    assert abs(diameter(result.cloud, result.spec) - 1.0) <= 1e-12
-    assert result.scale == 1.0  # diameter of [0,1] under sqrt metric is 1
-
-
-@settings(deadline=None, max_examples=25)
-@given(seed=st.integers(0, 10**6), spec_idx=st.integers(0, len(ALL_SPECS) - 1))
-def test_rescale_diameter_property(seed, spec_idx):
-    spec = ALL_SPECS[spec_idx]
-    rng = np.random.default_rng(seed)
-    cloud = PointCloud(rng.random((20, 3)) * 5.0)
-    result = rescale_to_unit_diameter(cloud, spec)
-    assert abs(diameter(result.cloud, result.spec) - 1.0) <= 1e-12
-
-
-def test_rescale_degenerate():
-    with pytest.raises(DegenerateInputError):
-        rescale_to_unit_diameter(PointCloud([[1.0, 2.0], [1.0, 2.0]]), L2)
-    with pytest.raises(DegenerateInputError):
-        rescale_to_unit_diameter(PointCloud([[1.0, 2.0]]), L2)
 
 
 # --------------------------------------------------------------- PointCloud
@@ -299,8 +288,6 @@ BOUND_SPECS = [
     PowerQuasi(Lp(3.0), 3.5),
     Snowflake(L2, 0.5),
     Snowflake(L2, 0.1),
-    Scaled(L2, 3.0),
-    Scaled(PowerQuasi(L2, 2.0), 1e-3),
 ]
 
 
