@@ -30,7 +30,7 @@ from .dimension import (
     least_squares_line,
     mst_dimension,
 )
-from .energy import energies, energy
+from .energy import check_alphas, energies, energy
 from .errors import CheckFailedError, InputError, ToolkitError
 from .generators import SHAPE_NAMES, builtin_shape, generate_uniform, shape_family
 from .lemma_checks import (
@@ -380,7 +380,7 @@ def cmd_scale(args) -> int:
     spec = spec_from_string(args.metric)
     family = shape_family(args.shape, dim=args.dim)
     sizes = _parse_list(args.sizes, int)
-    alphas = _parse_list(args.alphas, float)
+    alphas = check_alphas(_parse_list(args.alphas, float))
     seeds = _parse_list(args.seeds, int)
     if min(sizes) < 2:
         raise InputError(f"scale needs sizes >= 2 (a tree with edges), got {min(sizes)}")
@@ -395,7 +395,7 @@ def cmd_scale(args) -> int:
             if args.progress:
                 print(f"cell {cell}/{total_cells}", file=sys.stderr)
             cloud = family.generate(n, seed=seed)
-            lengths = build_mst_prim(cloud, spec).lengths()
+            lengths = build_mst_kruskal(cloud, spec).lengths()
             max_edge = float(lengths.max())
             for alpha, value in zip(alphas, energies(lengths, alphas)):
                 rows.append(

@@ -19,11 +19,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .energy import energies
+from .energy import check_alphas, energies
 from .errors import EstimationError, InputError, InsufficientScalesError
 from .generators import ShapeFamily
-from .metric import DistanceSpec, PointCloud, diameter
-from .mst import build_mst_prim
+from .metric import DistanceSpec, PointCloud, _cell_keys, diameter
+from .mst import build_mst_kruskal
 from .reports import CheckReport, _jsonable, format_float
 
 __all__ = [
@@ -55,47 +55,6 @@ class PackingResult:
     @property
     def count(self) -> int:
         return len(self.center_indices)
-
-
-# Cells are keyed on at most this many leading coordinates (3**3 neighbours).
-_GRID_AXES = 3
-# Relative margin of the cell side over the coordinate bound; it dominates the
-# rounding of (x - lo) / side, at most about 2**-31 cells at 2**20 cells.
-_GRID_MARGIN = 1.0 + 2.0**-20
-_GRID_MAX_CELLS = 2**20
-
-
-def _cell_keys(pts: np.ndarray, radius: float):
-    """Integer cell keys of side just above ``radius`` on the leading
-    coordinates, plus the key offsets that bound the neighbour runs.
-
-    Two points whose coordinates differ by at most ``radius`` lie in
-    neighbouring cells. The last keyed axis has stride 1, so the 3**k
-    neighbours of key K are the 3**(k-1) runs of consecutive keys
-    ``[K + runs[2j], K + runs[2j + 1])``. An axis with no finite positive
-    side is dropped, which only merges cells.
-    """
-    coords = pts[:, :_GRID_AXES]
-    lo_corner = coords.min(axis=0)
-    side = np.maximum(radius * _GRID_MARGIN, (coords.max(axis=0) - lo_corner) / _GRID_MAX_CELLS)
-    key = np.zeros(pts.shape[0], dtype=np.int64)
-    offsets = np.zeros(1, dtype=np.int64)
-    for a in np.flatnonzero(np.isfinite(side) & (side > 0.0)):
-        q = coords[:, a] - lo_corner[a]
-        q /= side[a]
-        np.floor(q, out=q)
-        # cell index + 1: indices 0 and width - 1 stay empty, so neighbour
-        # keys never wrap into another row
-        width = int(q.max()) + 3
-        key *= width
-        key += q.astype(np.int64)
-        key += 1
-        offsets = (offsets[:, None] * width + np.array([-1, 0, 1])).ravel()
-    if offsets.size == 1:  # no keyed axis: a single cell
-        return key, np.array([0, 1])
-    # offsets list the 3**k neighbours in key order, in triples of one run
-    runs = np.stack([offsets[0::3], offsets[2::3] + 1], axis=1).ravel()
-    return key, runs
 
 
 def greedy_packing(cloud: PointCloud, spec: DistanceSpec, eps: float) -> PackingResult:
@@ -291,7 +250,7 @@ def mst_dimension(
     the scale at which energies stop growing, as an independent readout.
     """
     sizes = sorted(int(s) for s in sizes)
-    alphas = sorted(float(a) for a in alphas)
+    alphas = sorted(check_alphas(float(a) for a in alphas))
     if len(sizes) < 3:
         raise InputError("need at least 3 sizes for a growth fit")
     if not alphas:
@@ -310,7 +269,7 @@ def mst_dimension(
             else:
                 rep_seed = 0
             cloud = family.generate(size, seed=rep_seed)
-            tree = build_mst_prim(cloud, spec)
+            tree = build_mst_kruskal(cloud, spec)
             for a, val in zip(alphas, energies(tree.lengths(), alphas)):
                 if val <= 0.0:
                     raise EstimationError(
@@ -379,12 +338,12 @@ def packing_lower_bound_check(
     must exceed 2 eps, hence the alpha-energy of their tree is at least
     (count - 1) (2 eps)^alpha. Reports both sides.
     """
+    check_alphas([alpha])
     packing = greedy_packing(cloud, spec, eps)
     if packing.count < 2:
         raise InputError("packing produced fewer than 2 centers, nothing to check")
     centers = PointCloud(cloud.points[packing.center_indices])
-    tree = build_mst_prim(centers, spec)
-    lengths = tree.lengths()
+    lengths = build_mst_kruskal(centers, spec).lengths()
     min_edge = float(lengths.min())
     (energy_value,) = energies(lengths, [alpha])
     bound = (packing.count - 1) * (2.0 * eps) ** alpha

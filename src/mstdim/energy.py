@@ -13,17 +13,21 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .errors import InputError
-from .mst import SpanningTree
 from .reports import format_float
+
+if TYPE_CHECKING:  # mst imports this module for check_alphas
+    from .mst import SpanningTree
 
 __all__ = [
     "EnergyReport",
     "energy",
     "energies",
+    "check_alphas",
     "count_edges_longer_than",
     "dyadic_band_index",
 ]
@@ -76,18 +80,24 @@ class EnergyReport:
         )
 
 
+def check_alphas(alphas) -> list:
+    """The alphas as a list, after checking that each is finite and > 0
+    (alpha = 0 would count the edges). Callers check before building."""
+    alphas = list(alphas)
+    for a in alphas:
+        if not (math.isfinite(a) and a > 0):
+            raise InputError(f"alpha must be finite and > 0, got {a}")
+    return alphas
+
+
 def energies(lengths, alphas) -> list:
     """Sum of length^alpha over the nonzero lengths, for each alpha.
 
     Summation runs in ascending length order (fixed order keeps results
     reproducible and reduces cancellation). Zero lengths, which duplicate
-    points produce, are left out. Every alpha must be finite and > 0
-    (alpha = 0 would count the edges).
+    points produce, are left out. Alphas pass ``check_alphas``.
     """
-    alphas = list(alphas)
-    for a in alphas:
-        if not (math.isfinite(a) and a > 0):
-            raise InputError(f"alpha must be finite and > 0, got {a}")
+    alphas = check_alphas(alphas)
     lengths = np.sort(lengths)
     nonzero = lengths[lengths > 0.0]
     return [float(np.sum(nonzero**a)) for a in alphas]

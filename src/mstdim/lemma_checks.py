@@ -21,9 +21,9 @@ import numpy as np
 
 from .errors import InputError, UnsupportedMetricError
 from .generators import generate_uniform
-from .energy import energies
+from .energy import check_alphas, energies
 from .metric import DistanceSpec, Lp, PointCloud, triangle_rows
-from .mst import SpanningTree, build_mst_prim
+from .mst import SpanningTree, build_mst_kruskal
 from .reports import CheckReport
 
 __all__ = [
@@ -270,7 +270,7 @@ def theorem1_check(
     more than ``trend_factor``.
     """
     sizes = sorted(int(s) for s in sizes)
-    alphas = [float(a) for a in alphas]
+    alphas = check_alphas(float(a) for a in alphas)
     seeds = list(seeds)
     if len(sizes) < 3:
         raise InputError("need at least 3 sizes for a trend check")
@@ -278,7 +278,7 @@ def theorem1_check(
     for n in sizes:
         for seed in seeds:
             cloud = generate_uniform(n, d, seed)
-            tree = build_mst_prim(cloud, Lp(2.0))
+            tree = build_mst_kruskal(cloud, Lp(2.0))
             for a, value in zip(alphas, energies(tree.lengths(), alphas)):
                 table[a][n].append(normalized_constant(value, n, d, a))
     max_c = 0.0

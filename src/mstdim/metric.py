@@ -102,8 +102,14 @@ class DistanceSpec:
         raise NotImplementedError
 
     def pairs(self, lhs, rhs):
-        """Row-wise distances between two (m, d) arrays."""
-        raise NotImplementedError
+        """Row-wise distances between two (m, d) arrays: entry i equals
+        ``one_to_many(rhs[i], lhs[i:i + 1])[0]`` bit for bit. This default
+        makes one ``one_to_many`` call per pair; kernels override it."""
+        lhs, rhs = _pair_arrays(lhs, rhs)
+        out = np.empty(lhs.shape[0])
+        for i in range(lhs.shape[0]):
+            out[i] = self.one_to_many(rhs[i], lhs[i : i + 1])[0]
+        return out
 
     def coordinate_radius(self, t: float) -> float:
         """Upper bound on every |a_k - b_k| over pairs whose computed distance
@@ -132,6 +138,14 @@ def _power_preimage(t: float, e: float) -> float:
     except OverflowError:
         return math.inf
     return max(root * (1.0 + _BOUND_SLACK / min(e, 1.0)), 2.0 ** (-1022.0 / max(e, 1.0)))
+
+
+def _pair_arrays(lhs, rhs):
+    lhs = np.asarray(lhs, dtype=np.float64)
+    rhs = np.asarray(rhs, dtype=np.float64)
+    if lhs.shape != rhs.shape or lhs.ndim != 2:
+        raise InputError("pairs requires two (m, d) arrays of identical shape")
+    return lhs, rhs
 
 
 def _check_dims(a, pts):
@@ -174,26 +188,27 @@ class Lp(DistanceSpec):
             np.power(x, 1.0 / self.p, out=x)
         return x
 
+    def _rows(self, lhs, rhs, out):
+        """Root of the terms of lhs[:, k] - rhs[..., k], summed in coordinate
+        order k = 0 .. d - 1; ``rhs`` is one point or one point per row."""
+        m, d = lhs.shape
+        if out is None:
+            out = np.empty(m)
+        self._term(np.subtract(lhs[:, 0], rhs[..., 0], out=out))
+        if d > 1:
+            tmp = np.empty(m)
+            for k in range(1, d):
+                np.add(out, self._term(np.subtract(lhs[:, k], rhs[..., k], out=tmp)), out=out)
+        return self._root(out)
+
     def one_to_many(self, a, pts, out=None):
         a = np.asarray(a, dtype=np.float64)
         pts = np.asarray(pts, dtype=np.float64)
         _check_dims(a, pts)
-        m, d = pts.shape
-        if out is None:
-            out = np.empty(m)
-        self._term(np.subtract(pts[:, 0], a[0], out=out))
-        if d > 1:
-            tmp = np.empty(m)
-            for k in range(1, d):
-                np.add(out, self._term(np.subtract(pts[:, k], a[k], out=tmp)), out=out)
-        return self._root(out)
+        return self._rows(pts, a, out)
 
     def pairs(self, lhs, rhs):
-        lhs = np.asarray(lhs, dtype=np.float64)
-        rhs = np.asarray(rhs, dtype=np.float64)
-        if lhs.shape != rhs.shape:
-            raise InputError("pairs requires arrays of identical shape")
-        return self._root(self._term(lhs - rhs).sum(axis=-1))
+        return self._rows(*_pair_arrays(lhs, rhs), None)
 
     def coordinate_radius(self, t: float) -> float:
         # The largest term |a_k - b_k| ** p alone reaches the distance; below
@@ -277,6 +292,47 @@ def triangle_rows(spec: DistanceSpec, pts):
     i = 0 .. len(pts) - 2: the upper triangle of the distance matrix."""
     for i in range(len(pts) - 1):
         yield spec.one_to_many(pts[i], pts[i + 1 :])
+
+
+# Cells are keyed on at most this many leading coordinates (3**3 neighbours).
+_GRID_AXES = 3
+# Relative margin of the cell side over the coordinate bound; it dominates the
+# rounding of (x - lo) / side, at most about 2**-31 cells at 2**20 cells.
+_GRID_MARGIN = 1.0 + 2.0**-20
+_GRID_MAX_CELLS = 2**20
+
+
+def _cell_keys(pts: np.ndarray, radius: float):
+    """Integer cell keys of side just above ``radius`` on the leading
+    coordinates, plus the key offsets that bound the neighbour runs.
+
+    Two points whose coordinates differ by at most ``radius`` lie in
+    neighbouring cells. The last keyed axis has stride 1, so the 3**k
+    neighbours of key K are the 3**(k-1) runs of consecutive keys
+    ``[K + runs[2j], K + runs[2j + 1])``. An axis with no finite positive
+    side is dropped, which only merges cells.
+    """
+    coords = pts[:, :_GRID_AXES]
+    lo_corner = coords.min(axis=0)
+    side = np.maximum(radius * _GRID_MARGIN, (coords.max(axis=0) - lo_corner) / _GRID_MAX_CELLS)
+    key = np.zeros(pts.shape[0], dtype=np.int64)
+    offsets = np.zeros(1, dtype=np.int64)
+    for a in np.flatnonzero(np.isfinite(side) & (side > 0.0)):
+        q = coords[:, a] - lo_corner[a]
+        q /= side[a]
+        np.floor(q, out=q)
+        # cell index + 1: indices 0 and width - 1 stay empty, so neighbour
+        # keys never wrap into another row
+        width = int(q.max()) + 3
+        key *= width
+        key += q.astype(np.int64)
+        key += 1
+        offsets = (offsets[:, None] * width + np.array([-1, 0, 1])).ravel()
+    if offsets.size == 1:  # no keyed axis: a single cell
+        return key, np.array([0, 1])
+    # offsets list the 3**k neighbours in key order, in triples of one run
+    runs = np.stack([offsets[0::3], offsets[2::3] + 1], axis=1).ravel()
+    return key, runs
 
 
 def diameter(cloud: PointCloud, spec: DistanceSpec) -> float:

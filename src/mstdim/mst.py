@@ -1,27 +1,50 @@
 """Minimal spanning tree construction.
 
-Three builders with fully specified tie-breaking so runs are reproducible
-bit for bit:
+Trees are canonical. Edges are compared by the strict total order
+(length, min index, max index), with length the computed distance. Under a
+strict order the minimal spanning tree is unique, so both builders return
+the same edge set, bit for bit, whatever the ties in the data:
 
-* ``build_mst_prim``: dense O(n^2) greedy growth from a root, recording the
-  order in which vertices entered the tree (the insertion ranks downstream
-  verifiers need). Works for any distance oracle, no spatial pruning.
-* ``build_mst_kruskal``: global edge sort with union-find, as a cross-check.
+* ``build_mst_kruskal``: the tree as (min index, max index, length) edges in
+  Kruskal order, ascending in the canonical order.
+* ``build_mst_prim``: the same tree in the order greedy growth from a root
+  adds it, with the insertion ranks downstream verifiers need.
 * ``brute_force_min_tree``: exhaustive minimum of the alpha-energy over all
   n^(n-2) labeled spanning trees, enumerated through Prufer sequences.
-  The small-n oracle the fast builders are tested against.
+  The small-n oracle the builders are tested against.
+
+How a tree is built. Rounds of candidate pairs come first: every pair at
+computed distance <= r, found through the cell grid of greedy packing and
+measured with ``DistanceSpec.pairs``. Kruskal over them, in canonical
+order, gives exactly the tree edges of length <= r. The first r is the
+median distance from 16 sampled points to their 8th nearest distinct point;
+each later round grows r (at most doubling, at most 32 pairs per point) and
+takes only the pairs that join two components, all longer than the last r,
+so Kruskal goes on in order. When another round would cost more, Prim grows
+the largest component over the rest, with distance rows between tree and
+outside points only.
+
+What it costs. On clouds of bounded local density in up to 3 dimensions
+(the grid keys at most 3 coordinates) O(n) distance evaluations: about
+0.2 s for the carpet at depth 5 (32,768 points). Where the grid cannot
+separate points (a far outlier, many dimensions, a spec without a
+coordinate bound) the Prim stage does most of the work. No cloud takes more
+than n (n - 1) / 2 evaluations plus 80 n: 16 sampled rows and at most 64 n
+candidate pairs longer than their round's radius.
 """
 
 from __future__ import annotations
 
+import heapq
 import itertools
 import json
-from dataclasses import dataclass
+import math
 
 import numpy as np
 
-from .errors import InputError, ResourceError
-from .metric import DistanceSpec, PointCloud, triangle_rows
+from .energy import check_alphas
+from .errors import InputError
+from .metric import DistanceSpec, PointCloud, _cell_keys
 from .reports import format_float
 
 __all__ = [
@@ -36,76 +59,80 @@ __all__ = [
     "read_tree",
 ]
 
-# Kruskal materializes all n(n-1)/2 edges; cap the pair count to keep memory
-# bounded (Prim streams rows and has no such limit).
-KRUSKAL_MAX_PAIRS = 50_000_000
+# Rows sampled for the first candidate radius: the median over them of the
+# distance to the _SAMPLE_RANK-th nearest distinct point.
+_SAMPLE_ROWS = 16
+_SAMPLE_RANK = 8
+# Per point: the most candidate pairs one round may enumerate, and the most
+# evaluated pairs longer than their round's radius (evaluations a dense scan
+# would not need) that all rounds together may spend.
+_ROUND_PAIRS = 32
+_WASTE_PAIRS = 32
+# A distance row evaluates a pair several times faster than a round
+# enumerates one: the forest goes to Prim once that needs at most this many
+# row evaluations per pair the next round would enumerate.
+_PRIM_PAIRS = 8
+# Radius factors tried, in turn, for the next round: the first that keeps the
+# round within _ROUND_PAIRS is taken.
+_GROWTH = (2.0, 2.0**0.5, 2.0**0.25, 2.0**0.125)
+# Candidate pairs per ``spec.pairs`` call, and sorted points per chunk of
+# neighbour ranges.
+_BLOCK_PAIRS = 1 << 12
+_CHUNK_POINTS = 1 << 10
+_NO_EDGES = (np.empty(0, dtype=np.int32), np.empty(0, dtype=np.int32), np.empty(0))
 
 
-@dataclass
 class SpanningTree:
     """Edge list of a spanning tree over vertices {0, ..., n-1}.
 
     ``edges`` holds (u, v, length) triples. For Prim-built trees the edges are
     in insertion order with u the tree-side endpoint, and ``insertion_rank``
     maps each vertex to the step at which it joined (root has rank 0).
+    A tree built from edge arrays makes the triples on first use, so callers
+    that read only ``lengths()`` never pay for them.
     """
 
-    n: int
-    builder: str
-    edges: list
-    insertion_rank: list | None = None
+    __slots__ = ("n", "builder", "insertion_rank", "_edges", "_arrays")
+
+    def __init__(self, n: int, builder: str, edges: list, insertion_rank: list | None = None):
+        self.n = n
+        self.builder = builder
+        self.insertion_rank = insertion_rank
+        self._edges = edges
+        self._arrays = None
+
+    @classmethod
+    def _from_arrays(cls, n, builder, u, v, length):
+        tree = cls(n, builder, None)
+        tree._arrays = (u, v, length)
+        return tree
+
+    @property
+    def edges(self) -> list:
+        if self._edges is None:
+            u, v, length = self._arrays
+            self._edges = list(zip(u.tolist(), v.tolist(), length.tolist()))
+        return self._edges
 
     def lengths(self) -> np.ndarray:
+        if self._arrays is not None:
+            return self._arrays[2].copy()
         return np.array([e[2] for e in self.edges], dtype=np.float64)
+
+    def __eq__(self, other):
+        if not isinstance(other, SpanningTree):
+            return NotImplemented
+        return (self.n, self.builder, self.edges, self.insertion_rank) == (
+            other.n,
+            other.builder,
+            other.edges,
+            other.insertion_rank,
+        )
+
+    __hash__ = None
 
     def __repr__(self) -> str:
         return f"SpanningTree(n={self.n}, builder={self.builder!r})"
-
-
-def build_mst_prim(cloud: PointCloud, spec: DistanceSpec, root: int = 0) -> SpanningTree:
-    """Greedy tree growth: repeatedly attach the outside vertex closest to the
-    current tree.
-
-    Ties are broken deterministically: among equally close candidate vertices
-    the smallest vertex index wins, and among equal-length connecting edges
-    the smallest tree-endpoint index wins. O(n^2) distance evaluations.
-    """
-    n = cloud.n
-    if not (0 <= root < n):
-        raise InputError(f"root {root} out of range for {n} points")
-    if n == 1:
-        return SpanningTree(n=1, builder="prim", edges=[], insertion_rank=[0])
-    pts = cloud.points
-    best = spec.one_to_many(pts[root], pts)
-    best[root] = np.inf
-    best_from = np.full(n, root, dtype=np.int64)
-    rank = np.empty(n, dtype=np.int64)
-    rank[root] = 0
-    dv = np.empty(n)
-    t_lt = np.empty(n, dtype=bool)
-    t_eq = np.empty(n, dtype=bool)
-    upd = np.empty(n, dtype=bool)
-    edges = []
-    for step in range(1, n):
-        v = int(np.argmin(best))  # first occurrence = smallest index among ties
-        edges.append((int(best_from[v]), v, float(best[v])))
-        rank[v] = step
-        best[v] = np.inf
-        if step == n - 1:
-            break
-        spec.one_to_many(pts[v], pts, out=dv)
-        np.less(dv, best, out=t_lt)
-        np.equal(dv, best, out=t_eq)
-        np.less(v, best_from, out=upd)
-        np.logical_and(t_eq, upd, out=t_eq)
-        np.logical_or(t_lt, t_eq, out=upd)
-        # entries already in the tree are parked at +inf and must stay there
-        np.isinf(best, out=t_lt)
-        np.logical_not(t_lt, out=t_lt)
-        np.logical_and(upd, t_lt, out=upd)
-        np.copyto(best, dv, where=upd)
-        np.copyto(best_from, v, where=upd)
-    return SpanningTree(n=n, builder="prim", edges=edges, insertion_rank=rank.tolist())
 
 
 class _UnionFind:
@@ -129,40 +156,285 @@ class _UnionFind:
         return True
 
 
-def build_mst_kruskal(cloud: PointCloud, spec: DistanceSpec) -> SpanningTree:
-    """Sort all pairs by (length, min index, max index) and accept greedily.
+def _first_radius(pts, spec) -> float:
+    """Upper median, over up to _SAMPLE_ROWS evenly spaced points, of the
+    distance to the _SAMPLE_RANK-th nearest point at a positive distance (0
+    if no sampled point has one)."""
+    n = len(pts)
+    kth = []
+    for i in range(0, n, -(-n // _SAMPLE_ROWS)):
+        row = spec.one_to_many(pts[i], pts)
+        row = row[row > 0.0]
+        if row.size:
+            k = min(_SAMPLE_RANK, row.size) - 1
+            kth.append(float(np.partition(row, k)[k]))
+    return sorted(kth)[len(kth) // 2] if kth else 0.0
 
-    Materializes the full edge list, so memory grows as n^2; use the Prim
-    builder for large clouds.
+
+class _CellPairs:
+    """Every unordered pair of points in neighbouring cells of the packing
+    grid sized for computed distances <= ``radius``, each pair once: sorted
+    position s pairs with the later positions of its key runs."""
+
+    def __init__(self, pts, spec, radius, limit):
+        key, self.runs = _cell_keys(pts, spec.coordinate_radius(radius))
+        self.order = np.argsort(key, kind="stable")
+        self.key = key[self.order]
+        self.total = 0  # the pair count, or a count above ``limit``
+        for _, _, count in self._ranges():
+            self.total += int(count.sum())
+            if self.total > limit:
+                break
+
+    def _ranges(self):
+        """Per chunk of sorted positions from ``first``: the start and the
+        length of the later positions in each key run, one row per position."""
+        n = len(self.key)
+        for first in range(0, n, _CHUNK_POINTS):
+            key = self.key[first : first + _CHUNK_POINTS, None]
+            lo = np.searchsorted(self.key, key + self.runs[0::2])
+            count = np.searchsorted(self.key, key + self.runs[1::2])
+            np.maximum(lo, np.arange(first + 1, first + 1 + len(key))[:, None], out=lo)
+            count -= lo
+            np.maximum(count, 0, out=count)
+            yield first, lo, count
+
+    def blocks(self):
+        """(i, j) point-index arrays of at most about _BLOCK_PAIRS pairs each."""
+        for first, lo, count in self._ranges():
+            per_point = count.sum(axis=1)
+            ends = np.cumsum(per_point)
+            start = 0
+            while start < len(ends):
+                done = int(ends[start - 1]) if start else 0
+                stop = max(start + 1, int(np.searchsorted(ends, done + _BLOCK_PAIRS, "right")))
+                runs = count[start:stop].ravel()
+                size = int(ends[stop - 1]) - done
+                if size:
+                    src = np.repeat(np.arange(first + start, first + stop), per_point[start:stop])
+                    skip = np.cumsum(runs) - runs
+                    dst = np.repeat(lo[start:stop].ravel() - skip, runs) + np.arange(size)
+                    yield self.order[src], self.order[dst]
+                start = stop
+
+
+def _labels(uf):
+    """The root of every point in ``uf``, by pointer jumping."""
+    label = np.array(uf.parent)
+    while True:
+        up = label[label]
+        if np.array_equal(up, label):
+            return label
+        label = up
+
+
+def _kruskal(uf, u, v, need):
+    """Mask of the candidate pairs, in canonical order, that join two
+    components of ``uf``; stops after ``need`` of them."""
+    taken = np.zeros(len(u), dtype=bool)
+    union = uf.union
+    for start in range(0, len(u), _BLOCK_PAIRS):
+        chunk = slice(start, start + _BLOCK_PAIRS)
+        for k, a, b in zip(itertools.count(start), u[chunk].tolist(), v[chunk].tolist()):
+            if union(a, b):
+                taken[k] = True
+                need -= 1
+                if need == 0:
+                    return taken
+    return taken
+
+
+class _Outside:
+    """Points not yet in the tree with their best edge into it, kept compact
+    so distance rows cover exactly the outside points: ``length[p]`` and
+    ``source[p]`` are the least (length, tree index) over the tree."""
+
+    def __init__(self, pts, members):
+        n = len(pts)
+        self.index = np.array(members, dtype=np.int64)
+        self.points = pts[self.index]
+        self.length = np.full(self.index.size, np.inf)
+        self.source = np.full(self.index.size, n, dtype=np.int64)
+        self.slot = np.full(n, -1, dtype=np.int64)
+        self.slot[self.index] = np.arange(self.index.size)
+        self.live = self.index.size
+
+    def remove(self, v):
+        p, last = int(self.slot[v]), self.live - 1
+        for arr in (self.index, self.points, self.length, self.source):
+            arr[p] = arr[last]
+        self.slot[self.index[p]] = p
+        self.slot[v] = -1
+        self.live = last
+
+    def relax(self, pts, spec, joined):
+        """Fold the edges from the ``joined`` points (ascending) into the
+        best edges, with one distance row per point on the shorter side."""
+        m = self.live
+        if m == 0:
+            return
+        length, source = self.length[:m], self.source[:m]
+        if len(joined) <= m:
+            outside = self.points[:m]
+            better = np.empty(m, dtype=bool)
+            tied = np.empty(m, dtype=bool)
+            for q in joined.tolist():
+                row = spec.one_to_many(pts[q], outside)
+                np.less(row, length, out=better)
+                np.equal(row, length, out=tied)
+                tied &= q < source
+                better |= tied
+                np.copyto(length, row, where=better)
+                np.copyto(source, q, where=better)
+        else:
+            tree = pts[joined]
+            for p in range(m):
+                row = spec.one_to_many(self.points[p], tree)
+                j = int(np.argmin(row))  # first minimum: smallest tree index
+                if row[j] < length[p] or (row[j] == length[p] and joined[j] < source[p]):
+                    length[p], source[p] = row[j], joined[j]
+
+    def closest(self):
+        """Slot of the outside point whose best edge is least in canonical
+        order."""
+        m = self.live
+        length = self.length[:m]
+        ties = np.flatnonzero(length == length.min())
+        if ties.size == 1:
+            return int(ties[0])
+        u, v = self.source[ties], self.index[ties]
+        return int(ties[np.lexsort((np.maximum(u, v), np.minimum(u, v)))[0]])
+
+
+def _canonical_tree(pts, spec):
+    """The minimal spanning tree under (length, min index, max index), as
+    arrays (u, v, length) with u < v, sorted in that order."""
+    n = len(pts)
+    uf = _UnionFind(n)
+    found = [_NO_EDGES]  # tree edges, rounds in increasing radius
+    need = n - 1
+    label = None
+    radius = _first_radius(pts, spec)
+    limit = _ROUND_PAIRS * n
+    cells = _CellPairs(pts, spec, radius, limit)
+    waste = 0
+    while cells.total <= limit and waste <= _WASTE_PAIRS * n:
+        parts = [_NO_EDGES]
+        for i, j in cells.blocks():
+            if label is not None:
+                cross = label[i] != label[j]
+                i, j = i[cross], j[cross]
+            length = spec.pairs(pts[i], pts[j])
+            near = length <= radius
+            waste += i.size - int(np.count_nonzero(near))
+            i, j = i[near].astype(np.int32), j[near].astype(np.int32)
+            parts.append((np.minimum(i, j), np.maximum(i, j), length[near]))
+        u, v, length = (np.concatenate(p) for p in zip(*parts))
+        del parts
+        # every pair within ``radius`` that joins two components is here, and
+        # all are longer than the last round's radius: Kruskal goes on in order
+        order = np.lexsort((v, u, length))
+        u = u[order]
+        v = v[order]
+        length = length[order]
+        del order
+        taken = _kruskal(uf, u, v, need)
+        found.append((u[taken], v[taken], length[taken]))
+        need -= len(found[-1][0])
+        if need == 0 or not 0.0 < radius < math.inf:
+            break
+        label = _labels(uf)
+        outside = n - int(np.bincount(label).max())
+        for growth in _GROWTH:
+            cells = _CellPairs(pts, spec, radius * growth, limit)
+            if cells.total <= limit:
+                break
+        radius *= growth
+        if outside * n <= _PRIM_PAIRS * cells.total:
+            break  # growing the largest component by Prim costs less
+    if need:
+        found.append(_finish(pts, spec, uf))
+    u, v, length = (np.concatenate(p) for p in zip(*found))
+    order = np.lexsort((v, u, length))
+    return u[order], v[order], length[order]
+
+
+def _finish(pts, spec, uf):
+    """Prim over the components of the forest in ``uf``: grow from the
+    largest, adding the least canonical edge out of the tree and the whole
+    component at its far end. Distance rows pair tree and outside points
+    only."""
+    label = _labels(uf)
+    by_label = np.argsort(label, kind="stable")  # each component ascending
+    roots, starts, sizes = np.unique(label[by_label], return_index=True, return_counts=True)
+    component = np.empty(len(pts), dtype=np.int64)
+    component[roots] = np.arange(len(roots))
+
+    def members(c):
+        return by_label[starts[c] : starts[c] + sizes[c]]
+
+    first = int(np.argmax(sizes))
+    tree = members(first)
+    outside = _Outside(pts, np.setdiff1d(by_label, tree, assume_unique=True))
+    outside.relax(pts, spec, tree)
+    us, vs, lengths = [], [], []
+    while outside.live:
+        p = outside.closest()
+        v = int(outside.index[p])
+        us.append(int(outside.source[p]))
+        vs.append(v)
+        lengths.append(float(outside.length[p]))
+        joined = members(component[label[v]])
+        for w in joined.tolist():
+            outside.remove(w)
+        outside.relax(pts, spec, joined)
+    u, v = np.array(us, dtype=np.int32), np.array(vs, dtype=np.int32)
+    return np.minimum(u, v), np.maximum(u, v), np.array(lengths)
+
+
+def build_mst_prim(cloud: PointCloud, spec: DistanceSpec, root: int = 0) -> SpanningTree:
+    """The canonical minimal tree, edges in the order greedy growth from
+    ``root`` adds them: each step takes the least edge, in canonical order,
+    from the tree to an outside vertex. Edges are (tree endpoint, new vertex,
+    length), and ``insertion_rank`` records the step each vertex joined.
+
+    The order comes from a heap-driven growth over the tree's own edges: by
+    the cut property the least edge leaving the tree is a tree edge, so it
+    equals the order of a dense scan over all pairs.
     """
     n = cloud.n
+    if not (0 <= root < n):
+        raise InputError(f"root {root} out of range for {n} points")
     if n == 1:
-        return SpanningTree(n=1, builder="kruskal", edges=[])
-    pairs = n * (n - 1) // 2
-    if pairs > KRUSKAL_MAX_PAIRS:
-        raise ResourceError(
-            f"kruskal would materialize {pairs} edges; build with prim instead"
-        )
-    iu = np.empty(pairs, dtype=np.int64)
-    ju = np.empty(pairs, dtype=np.int64)
-    lengths = np.empty(pairs)
-    pos = 0
-    for i, row in enumerate(triangle_rows(spec, cloud.points)):
-        m = n - 1 - i
-        iu[pos : pos + m] = i
-        ju[pos : pos + m] = np.arange(i + 1, n)
-        lengths[pos : pos + m] = row
-        pos += m
-    order = np.lexsort((ju, iu, lengths))
-    uf = _UnionFind(n)
+        return SpanningTree(n=1, builder="prim", edges=[], insertion_rank=[0])
+    u, v, length = _canonical_tree(cloud.points, spec)
+    ends = np.concatenate([u, v])
+    by_end = np.argsort(ends, kind="stable")
+    start = np.searchsorted(ends[by_end], np.arange(n + 1)).tolist()
+    other = np.concatenate([v, u])[by_end].tolist()
+    other_length = np.concatenate([length, length])[by_end].tolist()
+    rank = [-1] * n
+    rank[root] = 0
+    heap = []
     edges = []
-    for k in order:
-        a, b = int(iu[k]), int(ju[k])
-        if uf.union(a, b):
-            edges.append((a, b, float(lengths[k])))
-            if len(edges) == n - 1:
-                break
-    return SpanningTree(n=n, builder="kruskal", edges=edges)
+    w = root
+    for step in range(1, n):
+        for k in range(start[w], start[w + 1]):
+            x = other[k]
+            if rank[x] < 0:
+                heapq.heappush(heap, (other_length[k], min(w, x), max(w, x), w, x))
+        d, _, _, t, w = heapq.heappop(heap)
+        rank[w] = step
+        edges.append((t, w, d))
+    return SpanningTree(n=n, builder="prim", edges=edges, insertion_rank=rank)
+
+
+def build_mst_kruskal(cloud: PointCloud, spec: DistanceSpec) -> SpanningTree:
+    """The canonical minimal tree, edges (min index, max index, length) in
+    Kruskal order: ascending in (length, min index, max index)."""
+    if cloud.n == 1:
+        return SpanningTree(n=1, builder="kruskal", edges=[])
+    return SpanningTree._from_arrays(cloud.n, "kruskal", *_canonical_tree(cloud.points, spec))
 
 
 def _prufer_decode(seq, n):
@@ -214,12 +486,11 @@ def _all_tree_energies(weights: np.ndarray):
 def brute_force_min_tree(cloud: PointCloud, spec: DistanceSpec, alpha: float):
     """Global minimum of the alpha-energy over every labeled spanning tree.
 
-    Returns (tree, energy). Restricted to 2 <= n <= 8 (n^(n-2) trees). Among
-    equal-energy minimizers, the tree whose Prufer sequence is
-    lexicographically smallest is returned.
+    Returns (tree, energy). Restricted to 2 <= n <= 8 (n^(n-2) trees) and to
+    an alpha that is finite and > 0. Among equal-energy minimizers, the tree
+    whose Prufer sequence is lexicographically smallest is returned.
     """
-    if alpha <= 0:
-        raise InputError("alpha must be > 0")
+    check_alphas([alpha])
     n = cloud.n
     if not (2 <= n <= 8):
         raise InputError(f"brute force supports 2 <= n <= 8, got n={n}")

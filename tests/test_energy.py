@@ -6,15 +6,18 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from mstdim import cli, dimension, lemma_checks
+from mstdim.dimension import mst_dimension, packing_lower_bound_check
 from mstdim.energy import (
     EnergyReport,
+    check_alphas,
     count_edges_longer_than,
     dyadic_band_index,
     energies,
     energy,
 )
 from mstdim.errors import InputError
-from mstdim.generators import builtin_shape, generate_uniform
+from mstdim.generators import builtin_shape, generate_uniform, shape_family
 from mstdim.metric import Lp, PointCloud, diameter
 from mstdim.mst import SpanningTree, build_mst_prim, build_mst_kruskal
 
@@ -80,6 +83,27 @@ def test_alpha_validation():
             energy(make_tree([1.0]), alpha)
         with pytest.raises(InputError):
             energies([1.0, 0.5], [1.0, alpha])
+
+
+@pytest.mark.parametrize("bad", [0.0, -1.0, math.nan, math.inf])
+def test_alphas_checked_before_any_build(monkeypatch, tmp_path, bad):
+    def refuse(*args, **kwargs):
+        raise AssertionError("built a tree or packing before checking the alphas")
+
+    for module in (cli, dimension, lemma_checks):
+        for name in ("build_mst_prim", "build_mst_kruskal", "greedy_packing"):
+            monkeypatch.setattr(module, name, refuse, raising=False)
+    with pytest.raises(InputError):
+        check_alphas([1.0, bad])
+    with pytest.raises(InputError):
+        mst_dimension(shape_family("interval"), L2, [64, 128, 256], [1.0, bad], seed=0)
+    with pytest.raises(InputError):
+        packing_lower_bound_check(PointCloud([[0.0], [1.0]]), L2, 0.25, bad)
+    with pytest.raises(InputError):
+        lemma_checks.theorem1_check(2, [1.0, bad], [8, 16, 32], [0])
+    argv = ["scale", "--shape", "uniform-cube", "--dim", "2", "--sizes", "4096",
+            f"--alphas=1,{bad}", "--seeds", "1", "--out", str(tmp_path / "s.csv")]
+    assert cli.main(argv) == 2
 
 
 def test_energies_share_the_report_sum():

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from mstdim.errors import InputError
 from mstdim.metric import (
+    DistanceSpec,
     Lp,
     PointCloud,
     Power,
@@ -49,21 +50,41 @@ def _reference_root(p, total):
     return np.sqrt(total) if p == 2.0 else total if p == 1.0 else total ** (1.0 / p)
 
 
+def _reference_distances(p, diff):
+    """|x_k| ** p summed coordinate by coordinate in order, then the root."""
+    terms = _reference_terms(p, diff)
+    total = terms[:, 0].copy()
+    for k in range(1, diff.shape[1]):
+        total += terms[:, k]
+    return _reference_root(p, total)
+
+
 @pytest.mark.parametrize("p", [1.0, 2.0, 3.0, 1.5, 7.25])
-@pytest.mark.parametrize("d", [1, 2, 3, 5])
+@pytest.mark.parametrize("d", [1, 2, 3, 5, 8, 9, 12])
 def test_lp_kernels_match_reference_bitwise(p, d):
-    # reference: |a_k - x_k| ** p summed coordinate by coordinate, then the root
+    # both kernels sum in coordinate order, so pairs equals one_to_many bit
+    # for bit (numpy's pairwise .sum differs from d = 8 up)
     rng = np.random.default_rng(d)
     for pts in (rng.random((200, d)) * 10.0 - 5.0, rng.integers(0, 3, (200, d)) * 0.5):
         spec = Lp(p)
-        terms = _reference_terms(p, pts - pts[7])
-        total = terms[:, 0].copy()
-        for k in range(1, d):
-            total += terms[:, k]
-        assert np.array_equal(spec.one_to_many(pts[7], pts), _reference_root(p, total))
+        rows = spec.one_to_many(pts[7], pts)
+        assert np.array_equal(rows, _reference_distances(p, pts - pts[7]))
+        lhs, rhs = pts, np.broadcast_to(pts[7], pts.shape)
+        assert np.array_equal(spec.pairs(lhs, rhs), rows)
         lhs, rhs = pts[:100], pts[100:]
-        expected = _reference_root(p, _reference_terms(p, lhs - rhs).sum(axis=-1))
-        assert np.array_equal(spec.pairs(lhs, rhs), expected)
+        assert np.array_equal(spec.pairs(lhs, rhs), _reference_distances(p, lhs - rhs))
+
+
+def test_default_pairs_uses_one_to_many_rows():
+    class Rows(DistanceSpec):
+        def one_to_many(self, a, pts, out=None):
+            return Lp(3.0).one_to_many(a, pts, out)
+
+    rng = np.random.default_rng(4)
+    lhs, rhs = rng.random((30, 4)), rng.random((30, 4))
+    assert np.array_equal(Rows().pairs(lhs, rhs), Lp(3.0).pairs(lhs, rhs))
+    with pytest.raises(InputError):
+        Rows().pairs(lhs, rhs[:5])
 
 
 def test_power_specs_are_one_kind():

@@ -7,10 +7,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mstdim.errors import InputError
-from mstdim.generators import generate_grid, generate_uniform
-from mstdim.metric import Lp, PointCloud, PowerQuasi, Snowflake
+from mstdim.generators import builtin_shape, generate_grid, generate_uniform
+from mstdim.metric import DistanceSpec, Lp, PointCloud, PowerQuasi, Snowflake
 from mstdim.mst import (
     SpanningTree,
+    _CellPairs,
     _prufer_decode,
     brute_force_min_tree,
     build_mst_kruskal,
@@ -184,6 +185,14 @@ def test_brute_force_range_check():
         brute_force_min_tree(PointCloud([[0.0]]), L2, 1.0)
     with pytest.raises(InputError):
         brute_force_min_tree(PointCloud(np.zeros((9, 1))), L2, 1.0)
+
+
+@pytest.mark.parametrize("alpha", [math.nan, math.inf, -math.inf, 0.0, -1.0])
+def test_brute_force_rejects_bad_alpha(alpha):
+    # a NaN alpha used to return a non-minimal tree with energy nan, inf 0.0
+    cloud = PointCloud([[0.0], [0.3], [1.0], [0.5]])
+    with pytest.raises(InputError):
+        brute_force_min_tree(cloud, L2, alpha)
 
 
 def test_prufer_bijection_counts():
@@ -360,3 +369,165 @@ def test_tree_text_17_digits():
     text = tree_to_text(tree)
     assert "0.33333333333333331" in text
     assert tree_from_text(text).edges[0][2] == 1 / 3
+
+
+# ------------------------------------------------------ canonical tree
+
+
+def dense_canonical_prim(cloud, spec, root=0):
+    """Reference builder: dense Prim that adds, at each step, the least edge
+    from the tree to an outside vertex under (length, min index, max index).
+    Evaluates every row in full; returns (edges, insertion ranks)."""
+    pts = cloud.points
+    n = cloud.n
+    best = spec.one_to_many(pts[root], pts).copy()
+    best_from = np.full(n, root, dtype=np.int64)
+    inside = np.zeros(n, dtype=bool)
+    inside[root] = True
+    rank = np.zeros(n, dtype=np.int64)
+    edges = []
+    for step in range(1, n):
+        outside = np.flatnonzero(~inside)
+        ties = outside[best[outside] == best[outside].min()]
+        lo = np.minimum(best_from[ties], ties)
+        hi = np.maximum(best_from[ties], ties)
+        v = int(ties[np.lexsort((hi, lo))[0]])
+        edges.append((int(best_from[v]), v, float(best[v])))
+        inside[v] = True
+        rank[v] = step
+        dv = spec.one_to_many(pts[v], pts)
+        # equal lengths keep the smaller tree endpoint
+        update = ~inside & ((dv < best) | ((dv == best) & (v < best_from)))
+        best[update] = dv[update]
+        best_from[update] = v
+    return edges, rank.tolist()
+
+
+def assert_canonical(cloud, spec, root=0):
+    edges, rank = dense_canonical_prim(cloud, spec, root)
+    prim = build_mst_prim(cloud, spec, root=root)
+    assert prim.edges == edges
+    assert prim.insertion_rank == rank
+    expected = sorted(
+        ((min(u, v), max(u, v), length) for u, v, length in edges),
+        key=lambda e: (e[2], e[0], e[1]),
+    )
+    assert build_mst_kruskal(cloud, spec).edges == expected
+
+
+class _Chebyshev(DistanceSpec):
+    """Max-coordinate metric with only ``one_to_many``: no coordinate bound
+    and the default ``pairs``."""
+
+    @property
+    def weak_triangle_const(self):
+        return 1.0
+
+    def one_to_many(self, a, pts, out=None):
+        return np.abs(np.asarray(pts) - np.asarray(a)).max(axis=1)
+
+
+TREE_SPECS = [Lp(1.0), L2, Lp(3.0), PowerQuasi(L2, 2.0), Snowflake(L2, 0.5), _Chebyshev()]
+
+
+@settings(deadline=None, max_examples=80)
+@given(
+    seed=st.integers(0, 10**6),
+    n=st.integers(1, 90),
+    d=st.integers(1, 4),
+    lattice=st.booleans(),
+    spec_idx=st.integers(0, len(TREE_SPECS) - 1),
+    root_frac=st.floats(0.0, 0.999),
+)
+def test_trees_match_dense_canonical_prim(seed, n, d, lattice, spec_idx, root_frac):
+    rng = np.random.default_rng(seed)
+    if lattice:
+        pts = rng.integers(0, 4, (n, d)).astype(np.float64)  # ties and duplicates
+    else:
+        pts = rng.random((n, d))
+        pts[rng.integers(0, n, n // 4)] = pts[rng.integers(0, n, n // 4)]
+    assert_canonical(PointCloud(pts), TREE_SPECS[spec_idx], root=int(root_frac * n))
+
+
+@pytest.mark.parametrize(
+    "shape, size", [("grid", 64), ("sierpinski-carpet", 4), ("cantor", 8)]
+)
+def test_trees_match_dense_canonical_prim_on_shapes(shape, size):
+    # exact length ties everywhere: the tie-break alone picks the tree
+    assert_canonical(builtin_shape(shape, size)[0], L2)
+
+
+@settings(deadline=None, max_examples=40)
+@given(
+    seed=st.integers(0, 10**6),
+    n=st.integers(1, 80),
+    d=st.integers(1, 4),
+    spec_idx=st.integers(0, len(TREE_SPECS) - 1),
+    radius=st.floats(0.0, 2.0),
+)
+def test_cell_pairs_cover_every_close_pair_once(seed, n, d, spec_idx, radius):
+    # the candidate rounds see every pair within the radius, each once; a
+    # missed pair would leave the work to the Prim stage or break the tree
+    spec = TREE_SPECS[spec_idx]
+    pts = np.random.default_rng(seed).integers(0, 5, (n, d)) * 0.25
+    blocks = list(_CellPairs(pts, spec, radius, math.inf).blocks())
+    found = [(min(i, j), max(i, j)) for a, b in blocks for i, j in zip(a.tolist(), b.tolist())]
+    assert len(found) == len(set(found))
+    assert all(i != j for i, j in found)
+    close = {
+        (i, j)
+        for i in range(n)
+        for j in range(i + 1, n)
+        if spec.one_to_many(pts[i], pts[j : j + 1])[0] <= radius
+    }
+    assert close <= set(found)
+
+
+class _Counting(DistanceSpec):
+    """Counts the distances a builder evaluates through either kernel."""
+
+    def __init__(self, base):
+        self.base = base
+        self.evals = 0
+
+    @property
+    def weak_triangle_const(self):
+        return self.base.weak_triangle_const
+
+    def one_to_many(self, a, pts, out=None):
+        self.evals += len(pts)
+        return self.base.one_to_many(a, pts, out)
+
+    def pairs(self, lhs, rhs):
+        self.evals += len(lhs)
+        return self.base.pairs(lhs, rhs)
+
+    def coordinate_radius(self, t):
+        return self.base.coordinate_radius(t)
+
+
+def _adversarial_clouds(n):
+    rng = np.random.default_rng(8)
+    return {
+        "far-outlier": np.vstack([rng.random((n - 1, 2)), [[1e6, -1e6]]]),
+        "two-far-clusters": np.vstack([rng.random((n // 2, 2)), rng.random((n // 2, 2)) + 1e4]),
+        "blob-in-square": np.vstack(
+            [rng.random((n // 4, 2)), 0.5 + 1e-6 * rng.random((n - n // 4, 2))]
+        ),
+        "duplicated-4x": np.repeat(rng.random((n // 4, 2)), 4, axis=0),
+        "line-in-3d": np.outer(rng.random(n), [1.0, -2.0, 0.5]),
+    }
+
+
+@pytest.mark.parametrize("name", sorted(_adversarial_clouds(8)))
+def test_builder_work_bound(name):
+    # A dense scan of all pairs makes n (n - 1) / 2 evaluations. The builder
+    # may add its 16 sampled rows and at most 64 n candidate pairs longer
+    # than their round's radius, so c = 80.
+    n = 1024
+    cloud = PointCloud(_adversarial_clouds(n)[name])
+    spec = _Counting(L2)
+    tree = build_mst_kruskal(cloud, spec)
+    assert spec.evals <= n * (n - 1) // 2 + 80 * n
+    assert tree.edges == build_mst_kruskal(cloud, L2).edges
+    assert_canonical(cloud, L2)
