@@ -251,36 +251,25 @@ def _verify_lemma1(trials, seed):
 
 
 def _verify_lemma2(trials, seed):
-    reports = []
-    spec = Lp(2.0)
-    for i in range(trials):
-        d = 2 if i % 2 == 0 else 3
-        cloud = generate_uniform(100, d, seed + i)
-        tree = build_mst_prim(cloud, spec)
-        reports.append(lemma2_check(cloud, tree, spec))
-    return reports
+    # uniform clouds, alternately in d = 2 and d = 3
+    clouds = (generate_uniform(100, 2 + i % 2, seed + i) for i in range(trials))
+    return [lemma2_check(cloud, build_mst_prim(cloud, Lp(2.0))) for cloud in clouds]
 
 
 def _verify_lemma4(trials, seed):
+    clouds = [generate_uniform(500, 2 + i % 2, seed + i) for i in range(trials)]
+    clouds += [builtin_shape("cantor", 8)[0], builtin_shape("sierpinski-triangle", 6)[0]]
     reports = []
-    specs = [Lp(2.0), PowerQuasi(Lp(2.0), 2.0)]
-    clouds = []
-    for i in range(max(1, trials)):
-        d = 2 if i % 2 == 0 else 3
-        clouds.append(generate_uniform(500, d, seed + i))
-    clouds.append(builtin_shape("cantor", 8)[0])
-    clouds.append(builtin_shape("sierpinski-triangle", 6)[0])
-    for spec in specs:
+    for spec in (Lp(2.0), PowerQuasi(Lp(2.0), 2.0)):
         for cloud in clouds:
             tree = build_mst_prim(cloud, spec)
-            for k in range(1, 9):
-                reports.append(lemma4_check(cloud, spec, tree, 2.0**-k))
+            reports.extend(lemma4_check(cloud, spec, tree, 2.0**-k) for k in range(1, 9))
     return reports
 
 
 def _verify_thm1(trials, seed):
     sizes = [2**k for k in range(8, 13)]
-    seeds = [seed + i for i in range(min(max(trials, 1), 5))]
+    seeds = [seed + i for i in range(min(trials, 5))]
     return [theorem1_check(2, [0.5, 1.0, 2.0, 3.0], sizes, seeds)]
 
 
@@ -312,6 +301,8 @@ def cmd_verify(args) -> int:
     suite = VERIFY_SUITES.get(args.suite)
     if suite is None:
         raise InputError(f"unknown suite {args.suite!r}")
+    if args.trials < 1:
+        raise InputError(f"trials must be >= 1, got {args.trials}")
     reports = suite(args.trials, args.seed)
     failed = 0
     for report in reports:

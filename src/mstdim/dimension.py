@@ -104,6 +104,10 @@ class WindowPolicy:
     min_count: int = 8
     max_fraction: float = 0.125
 
+    def __post_init__(self):
+        if not (self.min_count >= 1 and 0.0 < self.max_fraction <= 1.0):
+            raise InputError(f"window needs min count >= 1 and fraction in (0, 1]: {self}")
+
     def keep(self, count: int, n: int) -> bool:
         return self.min_count <= count <= n * self.max_fraction
 
@@ -159,6 +163,8 @@ def default_eps_schedule(diam: float, ratio: float = 0.5, max_scales: int = 60):
     """Geometric cascade eps_j = diam * ratio^j, j = 1..max_scales."""
     if not (0.0 < ratio < 1.0):
         raise InputError("schedule ratio must lie in (0, 1)")
+    if not (0.0 < diam < math.inf and max_scales >= 1):
+        raise InputError(f"need a finite anchor > 0 and max scales >= 1, got {diam}, {max_scales}")
     return [diam * ratio**j for j in range(1, max_scales + 1)]
 
 

@@ -130,6 +130,6 @@ def energy(tree: SpanningTree, alpha: float) -> EnergyReport:
 
 def count_edges_longer_than(tree: SpanningTree, eps: float) -> int:
     """Number of edges with length strictly greater than eps."""
-    if eps <= 0:
+    if not eps > 0:
         raise InputError("eps must be > 0")
     return int(np.count_nonzero(tree.lengths() > eps))

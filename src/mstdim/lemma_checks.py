@@ -8,7 +8,8 @@ result. The numbered names follow the toolkit's verification catalogue:
 * lemma2: disjointness of the balls of radius length/10 around edge midpoints
   of a minimal tree (Euclidean only, midpoints must exist),
 * lemma4: disjointness of the balls of radius eps/3 around the later endpoint
-  of every tree edge longer than eps (any quasi-metric),
+  of every tree edge longer than eps (any quasi-metric; closest pair found
+  over the cell grid),
 * theorem1: boundedness of the normalized energy constant across a sweep of
   uniform clouds.
 """
@@ -22,8 +23,8 @@ import numpy as np
 from .errors import InputError, UnsupportedMetricError
 from .generators import generate_uniform
 from .energy import check_alphas, energies
-from .metric import DistanceSpec, Lp, PointCloud, triangle_rows
-from .mst import SpanningTree, build_mst_kruskal
+from .metric import DistanceSpec, Lp, PointCloud
+from .mst import SpanningTree, _closest_distance, build_mst_kruskal
 from .reports import CheckReport
 
 __all__ = [
@@ -124,19 +125,6 @@ def lemma1_sweep(
     )
 
 
-def _detect_length_ties(cloud: PointCloud, spec: DistanceSpec, cap: int = 1500):
-    """True when some pairwise distance repeats exactly (the regime where the
-    minimal tree is not unique). Skipped (None) above the pair-count cap."""
-    n = cloud.n
-    if n > cap:
-        return None
-    rows = list(triangle_rows(spec, cloud.points))
-    if not rows:
-        return False
-    lengths = np.concatenate(rows)
-    return bool(np.unique(lengths).size < lengths.size)
-
-
 def lemma2_check(
     cloud: PointCloud,
     tree: SpanningTree,
@@ -147,9 +135,7 @@ def lemma2_check(
     pair the midpoints must be at least (len_e + len_f)/10 apart.
 
     Requires plain Euclidean coordinates (edge midpoints are taken in
-    coordinates, which only matches ball centers under the l2 metric). The
-    report notes whether exact distance ties were detected, since the minimal
-    tree is then one of several minimizers.
+    coordinates, which only matches ball centers under the l2 metric).
     """
     spec = spec or Lp(2.0)
     if not (isinstance(spec, Lp) and spec.p == 2.0):
@@ -186,16 +172,12 @@ def lemma2_check(
             min_slack = float(slack.flat[k])
             i, c = divmod(k, slack.shape[1])
             worst_pair = [r0 + i, r0 + 1 + c]
-    ties = _detect_length_ties(cloud, spec)
     return CheckReport(
         name="lemma2",
         parameters={"n": cloud.n, "edges": m, "tol": tol},
         passed=bool(min_slack >= -tol),
         min_slack=min_slack,
-        details={
-            "worst_pair": worst_pair,
-            "ties_detected": ties,
-        },
+        details={"worst_pair": worst_pair},
     )
 
 
@@ -210,8 +192,15 @@ def lemma4_check(
     tree: for every edge longer than eps, take the endpoint that entered the
     tree last; all collected vertices must be pairwise at least 2 eps / 3
     apart (divided by the weak-triangle constant for quasi-metrics).
+
+    The exact least distance comes from a closest-pair search over the cell
+    grid, from twice the threshold up. In up to 3 dimensions it evaluates a
+    few distances per collected vertex (at most 5.4 on 2,000 points, uniform,
+    cantor and carpet). The grid keys 3 coordinates, so d >= 4 is the
+    quadratic regime: up to twice the m (m - 1) / 2 pairs of m vertices in
+    uniform d = 5; a spec without a coordinate bound measures all of them.
     """
-    if eps <= 0:
+    if not eps > 0:
         raise InputError("eps must be > 0")
     if tree.insertion_rank is None:
         raise InputError("tree lacks insertion ranks, build it with prim")
@@ -230,7 +219,7 @@ def lemma4_check(
             min_slack=None,
             details={"long_edges": len(chosen)},
         )
-    min_dist = min(float(row.min()) for row in triangle_rows(spec, cloud.points[chosen]))
+    min_dist = _closest_distance(cloud.points[chosen], spec, 2.0 * threshold)
     return CheckReport(
         name="lemma4",
         parameters={

@@ -37,7 +37,6 @@ __all__ = [
     "distance",
     "validate_quasi_metric",
     "QuasiMetricReport",
-    "triangle_rows",
     "diameter",
     "spec_from_string",
     "read_cloud",
@@ -71,6 +70,9 @@ class PointCloud:
             raise InputError("ambient dimension must be at least 1")
         if not np.all(np.isfinite(pts)):
             raise InputError("all coordinates must be finite")
+        with np.errstate(over="ignore"):  # coordinate differences must be finite too
+            if not np.all(np.isfinite(pts.max(axis=0) - pts.min(axis=0))):
+                raise InputError("coordinate spans must be finite (a difference overflows)")
         pts = np.ascontiguousarray(pts)
         pts.flags.writeable = False
         self.points = pts
@@ -287,13 +289,6 @@ def distance(spec: DistanceSpec, a, b) -> float:
     return float(spec.one_to_many(a, b.reshape(1, -1))[0])
 
 
-def triangle_rows(spec: DistanceSpec, pts):
-    """Row i holds the distances from ``pts[i]`` to every later point, for
-    i = 0 .. len(pts) - 2: the upper triangle of the distance matrix."""
-    for i in range(len(pts) - 1):
-        yield spec.one_to_many(pts[i], pts[i + 1 :])
-
-
 # Cells are keyed on at most this many leading coordinates (3**3 neighbours).
 _GRID_AXES = 3
 # Relative margin of the cell side over the coordinate bound; it dominates the
@@ -336,8 +331,11 @@ def _cell_keys(pts: np.ndarray, radius: float):
 
 
 def diameter(cloud: PointCloud, spec: DistanceSpec) -> float:
-    """Maximum pairwise distance, by a row-wise scan (O(n^2) evaluations)."""
-    return max((float(row.max()) for row in triangle_rows(spec, cloud.points)), default=0.0)
+    """Maximum pairwise distance, by a row-wise scan of the upper triangle
+    (O(n^2) evaluations)."""
+    pts = cloud.points
+    rows = (spec.one_to_many(pts[i], pts[i + 1 :]) for i in range(len(pts) - 1))
+    return max((float(row.max()) for row in rows), default=0.0)
 
 
 @dataclass

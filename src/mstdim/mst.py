@@ -218,6 +218,20 @@ class _CellPairs:
                 start = stop
 
 
+def _closest_distance(pts, spec, radius) -> float:
+    """Least computed distance over all pairs of rows of ``pts``. A pass at
+    ``radius`` measures the pairs in neighbouring cells, which hold every pair
+    within ``radius``; it ends the search if one is. The next pass runs at
+    twice the radius, or at the least value found if smaller (sure to end).
+    At radius inf no axis is keyed and every pair is measured."""
+    while True:
+        blocks = _CellPairs(pts, spec, radius, 0).blocks()  # no pair count needed
+        least = min((float(spec.pairs(pts[i], pts[j]).min()) for i, j in blocks), default=math.inf)
+        if least <= radius:
+            return least
+        radius = min(2.0 * radius, least) or least
+
+
 def _labels(uf):
     """The root of every point in ``uf``, by pointer jumping."""
     label = np.array(uf.parent)

@@ -347,6 +347,7 @@ def test_every_output_file_has_a_manifest(tmp_path, capsys):
 
 _SCALE = ["scale", "--shape", "uniform-cube", "--seeds", "0", "--out", "{dir}/s.csv"]
 _DIM_MST = ["dim-mst", "--shape", "interval", "--seed", "1", "--out", "{dir}/d.json"]
+_DIM_BOX = ["dim-box", "--in", "{dir}/sq.csv", "--out", "{dir}/b.json"]
 
 
 @pytest.mark.parametrize(
@@ -359,9 +360,23 @@ _DIM_MST = ["dim-mst", "--shape", "interval", "--seed", "1", "--out", "{dir}/d.j
         _SCALE + ["--sizes", "1,2", "--alphas", "1", "--svg", "{dir}/s.svg"],
         _SCALE + ["--sizes", ",", "--alphas", "1", "--svg", "{dir}/s.svg"],
         _DIM_MST + ["--sizes", "64,128,256", "--alphas", " , "],
+        ["verify", "--suite", "lemma2", "--trials", "-5", "--seed", "1"],
+        ["verify", "--suite", "lemma4", "--trials", "-5", "--seed", "1"],
+        ["verify", "--suite", "thm1", "--trials", "0", "--seed", "1"],
+        _DIM_BOX + ["--window-frac", "nan"],
+        _DIM_BOX + ["--window-frac", "inf"],
+        _DIM_BOX + ["--window-frac", "0"],
+        _DIM_BOX + ["--window-frac", "1.5"],
+        _DIM_BOX + ["--window-min", "0"],
+        _DIM_BOX + ["--anchor", "nan"],
+        _DIM_BOX + ["--anchor", "inf"],
+        _DIM_BOX + ["--max-scales", "0"],
     ],
     ids=["energy-nan", "energy-inf", "scale-alpha-nonpositive", "dim-mst-nan",
-         "scale-size-1", "scale-no-sizes", "dim-mst-no-alphas"],
+         "scale-size-1", "scale-no-sizes", "dim-mst-no-alphas", "verify-lemma2-trials-negative",
+         "verify-lemma4-trials-negative", "verify-thm1-trials-0", "dim-box-frac-nan",
+         "dim-box-frac-inf", "dim-box-frac-0", "dim-box-frac-above-1", "dim-box-min-0",
+         "dim-box-anchor-nan", "dim-box-anchor-inf", "dim-box-no-scales"],
 )
 def test_invalid_numeric_arguments_exit_2(tmp_path, capsys, argv):
     cloud, tree = tmp_path / "sq.csv", tmp_path / "sq.json"
@@ -373,6 +388,16 @@ def test_invalid_numeric_arguments_exit_2(tmp_path, capsys, argv):
     assert stdout == ""
     assert err.startswith("error: ") and err.count("\n") == 1
     assert set(tmp_path.iterdir()) == before  # nothing written
+
+
+def test_mst_rejects_overflowing_coordinate_span(tmp_path, capsys):
+    cloud = tmp_path / "far.csv"
+    cloud.write_text("1e308,0\n-1e308,0\n")
+    code, stdout, err = run(capsys, "mst", "--in", str(cloud), "--out", str(tmp_path / "t.json"))
+    assert code == 2
+    assert stdout == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert not (tmp_path / "t.json").exists()
 
 
 # ---------------------------------------------------------------- exit codes

@@ -137,8 +137,9 @@ def test_count_longer_strict():
     tree = make_tree([1.0, 1.0, 2.0])
     assert count_edges_longer_than(tree, 1.0) == 1
     assert count_edges_longer_than(tree, 0.5) == 3
-    with pytest.raises(InputError):
-        count_edges_longer_than(tree, 0.0)
+    for eps in (0.0, math.nan):
+        with pytest.raises(InputError):
+            count_edges_longer_than(tree, eps)
 
 
 def test_cantor_gap_census():

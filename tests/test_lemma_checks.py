@@ -16,8 +16,9 @@ from mstdim.lemma_checks import (
     normalized_constant,
     theorem1_check,
 )
-from mstdim.metric import Lp, PointCloud, PowerQuasi
-from mstdim.mst import build_mst_kruskal, build_mst_prim
+from mstdim.metric import Lp, PointCloud, PowerQuasi, distance, spec_from_string
+from mstdim.mst import SpanningTree, build_mst_kruskal, build_mst_prim
+from specs import Chebyshev, Counting
 
 L2 = Lp(2.0)
 
@@ -82,7 +83,6 @@ def test_lemma2_unit_square():
     report = lemma2_check(cloud, tree)
     assert report.passed
     assert report.min_slack == pytest.approx(math.sqrt(0.5) - 0.2, rel=1e-12)
-    assert report.details["ties_detected"] is True
 
 
 def test_lemma2_uniform_cloud():
@@ -91,7 +91,6 @@ def test_lemma2_uniform_cloud():
     report = lemma2_check(cloud, tree)
     assert report.passed
     assert report.min_slack > 0
-    assert report.details["ties_detected"] is False
 
 
 def test_lemma2_requires_l2():
@@ -153,8 +152,9 @@ def test_lemma4_requires_ranks():
     with pytest.raises(InputError):
         lemma4_check(cloud, L2, tree, eps=0.5)
     prim = build_mst_prim(cloud, L2)
-    with pytest.raises(InputError):
-        lemma4_check(cloud, L2, prim, eps=0.0)
+    for eps in (0.0, math.nan):  # a NaN eps would collect nothing and pass
+        with pytest.raises(InputError):
+            lemma4_check(cloud, L2, prim, eps=eps)
 
 
 @pytest.mark.parametrize("k", range(1, 7))
@@ -189,6 +189,119 @@ def test_lemma4_vacuous_when_no_long_edges():
     tree = build_mst_prim(cloud, L2)
     report = lemma4_check(cloud, L2, tree, eps=1.0)
     assert report.passed and report.min_slack is None
+
+
+# ------------------------------------------------ lemma4 closest-pair search
+
+
+def _collected(tree, eps):
+    """The later endpoints of the edges longer than eps, as lemma4 takes them."""
+    rank = tree.insertion_rank
+    return [v if rank[v] > rank[u] else u for u, v, length in tree.edges if length > eps]
+
+
+def _brute_min(spec, pts):
+    """Least ``distance`` over every pair, one call per pair."""
+    return min(
+        distance(spec, pts[i], pts[j]) for i in range(len(pts)) for j in range(i + 1, len(pts))
+    )
+
+
+_EXACT_CLOUDS = {
+    "uniform-2": lambda: generate_uniform(300, 2, seed=11),
+    "uniform-3": lambda: generate_uniform(300, 3, seed=12),
+    "uniform-5": lambda: generate_uniform(300, 5, seed=13),
+    "cantor-8": lambda: builtin_shape("cantor", 8)[0],
+    "sierpinski-triangle-6": lambda: builtin_shape("sierpinski-triangle", 6)[0],
+}
+
+
+@pytest.mark.parametrize("metric", ["l2", "lp:3", "snowflake:0.5", "powerquasi:2"])
+@pytest.mark.parametrize("shape", sorted(_EXACT_CLOUDS))
+def test_lemma4_min_distance_is_exact(shape, metric):
+    cloud = _EXACT_CLOUDS[shape]()
+    spec = spec_from_string(metric)
+    tree = build_mst_prim(cloud, spec)
+    pts = cloud.points
+    # the brute-force table, one row per point; its entries are ``distance``
+    dist = np.array([spec.one_to_many(p, pts) for p in pts])
+    for i, j in np.random.default_rng(0).integers(0, cloud.n, size=(200, 2)):
+        assert dist[i, j] == distance(spec, pts[i], pts[j])
+    # eps 2^-1..2^-8, then on down until every edge is long (squared
+    # distances under powerquasi are short)
+    checked = 0
+    for k in range(1, 25):
+        chosen = np.array(_collected(tree, 2.0**-k))
+        report = lemma4_check(cloud, spec, tree, 2.0**-k)
+        if len(chosen) < 2:
+            continue
+        i, j = np.triu_indices(len(chosen), k=1)
+        assert report.details["min_center_distance"] == float(dist[chosen[i], chosen[j]].min())
+        checked += 1
+    assert checked >= 3
+
+
+def test_lemma4_min_distance_of_coincident_points():
+    # not a minimal tree: two long edges end on the same point
+    cloud = PointCloud([[0.0, 0.0], [1.0, 0.0], [1.0, 0.0], [3.0, 0.0]])
+    tree = SpanningTree(4, "prim", [(0, 1, 1.0), (0, 2, 1.0), (1, 3, 2.0)], [0, 1, 2, 3])
+    report = lemma4_check(cloud, L2, tree, eps=0.5)
+    assert report.details["min_center_distance"] == 0.0
+    assert not report.passed
+
+
+def test_lemma4_min_distance_with_far_outlier():
+    rng = np.random.default_rng(5)
+    cloud = PointCloud(np.vstack([rng.random((120, 2)), [[1e9, 1e9]]]))
+    tree = build_mst_prim(cloud, L2)
+    for k in range(3, 8):
+        chosen = _collected(tree, 2.0**-k)
+        assert cloud.n - 1 in chosen and len(chosen) >= 2
+        report = lemma4_check(cloud, L2, tree, 2.0**-k)
+        assert report.details["min_center_distance"] == _brute_min(L2, cloud.points[chosen])
+
+
+def test_lemma4_min_distance_far_apart():
+    # about 50 doublings from twice the threshold up to 2e12
+    cloud = PointCloud([[0.0, 0.0], [1e12, 0.0], [-1e12, 5.0]])
+    for spec in (L2, PowerQuasi(L2, 2.0)):
+        tree = build_mst_prim(cloud, spec)
+        report = lemma4_check(cloud, spec, tree, 2.0**-8)
+        expected = distance(spec, cloud.points[1], cloud.points[2])
+        assert report.details["min_center_distance"] == expected
+
+
+def test_lemma4_min_distance_without_coordinate_bound():
+    spec = Chebyshev()
+    cloud = generate_uniform(150, 2, seed=9)
+    tree = build_mst_prim(cloud, spec)
+    for k in range(4, 9):
+        chosen = _collected(tree, 2.0**-k)
+        assert len(chosen) >= 2
+        report = lemma4_check(cloud, spec, tree, 2.0**-k)
+        assert report.details["min_center_distance"] == _brute_min(spec, cloud.points[chosen])
+
+
+_WORK_CLOUDS = {
+    "uniform-2": lambda: generate_uniform(2000, 2, seed=21),
+    "uniform-3": lambda: generate_uniform(2000, 3, seed=22),
+    "cantor-10": lambda: builtin_shape("cantor", 10)[0],
+    "sierpinski-carpet-4": lambda: builtin_shape("sierpinski-carpet", 4)[0],
+}
+
+
+@pytest.mark.parametrize("metric", ["l2", "lp:3", "powerquasi:2"])
+@pytest.mark.parametrize("shape", sorted(_WORK_CLOUDS))
+def test_lemma4_work_bound(shape, metric):
+    # In up to 3 dimensions the search may evaluate at most 16 distances per
+    # collected vertex, over all its doublings.
+    cloud = _WORK_CLOUDS[shape]()
+    spec = spec_from_string(metric)
+    tree = build_mst_prim(cloud, spec)
+    for k in range(1, 11):
+        counting = Counting(spec)
+        report = lemma4_check(cloud, counting, tree, 2.0**-k)
+        assert counting.evals <= 16 * report.details["long_edges"]
 
 
 # ----------------------------------------------------------- theorem1_check

@@ -237,6 +237,9 @@ def test_cloud_invariants():
         PointCloud([[0.0, np.inf]])
     with pytest.raises(InputError):
         PointCloud([[0.0, np.nan]])
+    with pytest.raises(InputError):  # finite points, but the span overflows
+        PointCloud([[1e308, 0.0], [-1e308, 0.0]])
+    assert PointCloud([[1e308, 0.0], [-7e307, 0.0]]).n == 2
     cloud = PointCloud([[0.0, 1.0], [0.0, 1.0]])  # duplicates are legal
     assert cloud.n == 2 and cloud.ambient_dim == 2
     with pytest.raises(ValueError):

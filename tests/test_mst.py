@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from mstdim.errors import InputError
 from mstdim.generators import builtin_shape, generate_grid, generate_uniform
-from mstdim.metric import DistanceSpec, Lp, PointCloud, PowerQuasi, Snowflake
+from mstdim.metric import Lp, PointCloud, PowerQuasi, Snowflake
 from mstdim.mst import (
     SpanningTree,
     _CellPairs,
@@ -22,6 +22,7 @@ from mstdim.mst import (
     tree_total_length,
     write_tree,
 )
+from specs import Chebyshev, Counting
 
 L2 = Lp(2.0)
 
@@ -415,19 +416,7 @@ def assert_canonical(cloud, spec, root=0):
     assert build_mst_kruskal(cloud, spec).edges == expected
 
 
-class _Chebyshev(DistanceSpec):
-    """Max-coordinate metric with only ``one_to_many``: no coordinate bound
-    and the default ``pairs``."""
-
-    @property
-    def weak_triangle_const(self):
-        return 1.0
-
-    def one_to_many(self, a, pts, out=None):
-        return np.abs(np.asarray(pts) - np.asarray(a)).max(axis=1)
-
-
-TREE_SPECS = [Lp(1.0), L2, Lp(3.0), PowerQuasi(L2, 2.0), Snowflake(L2, 0.5), _Chebyshev()]
+TREE_SPECS = [Lp(1.0), L2, Lp(3.0), PowerQuasi(L2, 2.0), Snowflake(L2, 0.5), Chebyshev()]
 
 
 @settings(deadline=None, max_examples=80)
@@ -483,29 +472,6 @@ def test_cell_pairs_cover_every_close_pair_once(seed, n, d, spec_idx, radius):
     assert close <= set(found)
 
 
-class _Counting(DistanceSpec):
-    """Counts the distances a builder evaluates through either kernel."""
-
-    def __init__(self, base):
-        self.base = base
-        self.evals = 0
-
-    @property
-    def weak_triangle_const(self):
-        return self.base.weak_triangle_const
-
-    def one_to_many(self, a, pts, out=None):
-        self.evals += len(pts)
-        return self.base.one_to_many(a, pts, out)
-
-    def pairs(self, lhs, rhs):
-        self.evals += len(lhs)
-        return self.base.pairs(lhs, rhs)
-
-    def coordinate_radius(self, t):
-        return self.base.coordinate_radius(t)
-
-
 def _adversarial_clouds(n):
     rng = np.random.default_rng(8)
     return {
@@ -526,7 +492,7 @@ def test_builder_work_bound(name):
     # than their round's radius, so c = 80.
     n = 1024
     cloud = PointCloud(_adversarial_clouds(n)[name])
-    spec = _Counting(L2)
+    spec = Counting(L2)
     tree = build_mst_kruskal(cloud, spec)
     assert spec.evals <= n * (n - 1) // 2 + 80 * n
     assert tree.edges == build_mst_kruskal(cloud, L2).edges
