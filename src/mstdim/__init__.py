@@ -15,7 +15,6 @@ from .dimension import (
 from .energy import EnergyReport, count_edges_longer_than, energies, energy
 from .errors import (
     CheckFailedError,
-    DegenerateInputError,
     EstimationError,
     InputError,
     InsufficientScalesError,
@@ -24,13 +23,10 @@ from .errors import (
     UnsupportedMetricError,
 )
 from .generators import (
-    IfsSystem,
-    SimilarityMap,
+    ShapeFamily,
     builtin_shape,
     generate_grid,
-    generate_ifs_depth,
     generate_uniform,
-    shape_family,
 )
 from .lemma_checks import (
     lemma1_check,

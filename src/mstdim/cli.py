@@ -32,7 +32,7 @@ from .dimension import (
 )
 from .energy import check_alphas, energies, energy
 from .errors import CheckFailedError, InputError, ToolkitError
-from .generators import SHAPE_NAMES, builtin_shape, generate_uniform, shape_family
+from .generators import SHAPE_NAMES, ShapeFamily, builtin_shape, generate_uniform
 from .lemma_checks import (
     lemma1_sweep,
     lemma2_check,
@@ -137,9 +137,9 @@ def _parse_list(text: str, kind) -> list:
 def cmd_generate(args) -> int:
     if args.shape == "uniform-cube" and args.seed is None:
         raise InputError("uniform-cube requires --seed (no entropy defaults)")
+    if (args.size is None) == (args.depth is None):
+        raise InputError("give exactly one of --size and --depth")
     size = args.depth if args.depth is not None else args.size
-    if size is None:
-        raise InputError("either --size or --depth is required")
     manifest = _manifest("generate", args, args.seed or 0)
     cloud, known_dim = builtin_shape(
         args.shape, size, dim=args.dim, seed=args.seed or 0
@@ -217,7 +217,7 @@ def cmd_dim_box(args) -> int:
 
 def cmd_dim_mst(args) -> int:
     spec = spec_from_string(args.metric)
-    family = shape_family(args.shape, dim=args.dim)
+    family = ShapeFamily(args.shape, args.dim)
     manifest = _manifest("dim-mst", args, args.seed)
     estimate = mst_dimension(
         family,
@@ -369,7 +369,7 @@ def _svg_loglog(series, title) -> str:
 
 def cmd_scale(args) -> int:
     spec = spec_from_string(args.metric)
-    family = shape_family(args.shape, dim=args.dim)
+    family = ShapeFamily(args.shape, args.dim)
     sizes = _parse_list(args.sizes, int)
     alphas = check_alphas(_parse_list(args.alphas, float))
     seeds = _parse_list(args.seeds, int)

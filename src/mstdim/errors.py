@@ -15,11 +15,6 @@ class InputError(ToolkitError):
     exit_code = 2
 
 
-class DegenerateInputError(InputError):
-    """Structurally valid input on which the operation is undefined
-    (e.g. rescaling a cloud whose points all coincide)."""
-
-
 class UnsupportedMetricError(InputError):
     """Operation requires a metric kind the given spec does not provide."""
 
@@ -48,6 +43,6 @@ class InsufficientScalesError(EstimationError):
 
 
 class ResourceError(ToolkitError):
-    """A configured resource budget (point count, memory) would be exceeded."""
+    """The point budget (DEFAULT_POINT_BUDGET) would be exceeded."""
 
     exit_code = 5

@@ -142,40 +142,33 @@ def lemma2_check(
         raise UnsupportedMetricError(
             "midpoint-ball check requires the l2 metric (midpoints must exist)"
         )
-    if len(tree.edges) < 2:
-        return CheckReport(
-            name="lemma2",
-            parameters={"n": cloud.n},
-            passed=True,
-            min_slack=None,
-            details={"pairs": 0},
-        )
-    pts = cloud.points
-    us = np.array([e[0] for e in tree.edges])
-    vs = np.array([e[1] for e in tree.edges])
-    lengths = tree.lengths()
-    mids = (pts[us] + pts[vs]) / 2.0
     m = len(tree.edges)
-    # row-major blocks with a strict < keep the first minimum of the triangle
-    rows = max(1, LEMMA2_BLOCK_ELEMENTS // (m * mids.shape[1]))
-    min_slack, worst_pair = np.inf, None
-    for r0 in range(0, m - 1, rows):
-        r1 = min(r0 + rows, m - 1)
-        diff = mids[r0:r1, None, :] - mids[None, r0 + 1 :, :]
-        mid_dist = np.sqrt((diff**2).sum(-1))
-        required = (lengths[r0:r1, None] + lengths[None, r0 + 1 :]) / 10.0
-        slack = mid_dist - required
-        # column c of the block is edge r0 + 1 + c; keep only j > i
-        slack[np.tril_indices(r1 - r0, k=-1, m=slack.shape[1])] = np.inf
-        k = int(np.argmin(slack))
-        if worst_pair is None or slack.flat[k] < min_slack:
-            min_slack = float(slack.flat[k])
-            i, c = divmod(k, slack.shape[1])
-            worst_pair = [r0 + i, r0 + 1 + c]
+    min_slack, worst_pair = None, None
+    if m >= 2:
+        pts = cloud.points
+        us = np.array([e[0] for e in tree.edges])
+        vs = np.array([e[1] for e in tree.edges])
+        lengths = tree.lengths()
+        mids = (pts[us] + pts[vs]) / 2.0
+        # row-major blocks with a strict < keep the first minimum of the triangle
+        rows = max(1, LEMMA2_BLOCK_ELEMENTS // (m * mids.shape[1]))
+        for r0 in range(0, m - 1, rows):
+            r1 = min(r0 + rows, m - 1)
+            diff = mids[r0:r1, None, :] - mids[None, r0 + 1 :, :]
+            mid_dist = np.sqrt((diff**2).sum(-1))
+            required = (lengths[r0:r1, None] + lengths[None, r0 + 1 :]) / 10.0
+            slack = mid_dist - required
+            # column c of the block is edge r0 + 1 + c; keep only j > i
+            slack[np.tril_indices(r1 - r0, k=-1, m=slack.shape[1])] = np.inf
+            k = int(np.argmin(slack))
+            if worst_pair is None or slack.flat[k] < min_slack:
+                min_slack = float(slack.flat[k])
+                i, c = divmod(k, slack.shape[1])
+                worst_pair = [r0 + i, r0 + 1 + c]
     return CheckReport(
         name="lemma2",
         parameters={"n": cloud.n, "edges": m, "tol": tol},
-        passed=bool(min_slack >= -tol),
+        passed=min_slack is None or bool(min_slack >= -tol),
         min_slack=min_slack,
         details={"worst_pair": worst_pair},
     )
@@ -211,15 +204,9 @@ def lemma4_check(
             chosen.append(v if rank[v] > rank[u] else u)
     c_w = spec.weak_triangle_const
     threshold = 2.0 * eps / (3.0 * c_w)
-    if len(chosen) < 2:
-        return CheckReport(
-            name="lemma4",
-            parameters={"eps": eps, "threshold": threshold, "n": cloud.n},
-            passed=True,
-            min_slack=None,
-            details={"long_edges": len(chosen)},
-        )
-    min_dist = _closest_distance(cloud.points[chosen], spec, 2.0 * threshold)
+    min_dist = None
+    if len(chosen) >= 2:
+        min_dist = _closest_distance(cloud.points[chosen], spec, 2.0 * threshold)
     return CheckReport(
         name="lemma4",
         parameters={
@@ -228,8 +215,8 @@ def lemma4_check(
             "weak_triangle_const": c_w,
             "n": cloud.n,
         },
-        passed=bool(min_dist >= threshold - tol),
-        min_slack=min_dist - threshold,
+        passed=min_dist is None or bool(min_dist >= threshold - tol),
+        min_slack=None if min_dist is None else min_dist - threshold,
         details={"long_edges": len(chosen), "min_center_distance": min_dist},
     )
 

@@ -16,7 +16,7 @@ import pytest
 from conftest import record_criterion
 from mstdim.cli import main
 from mstdim.dimension import box_dimension, mst_dimension, packing_lower_bound_check
-from mstdim.generators import builtin_shape, generate_uniform, shape_family
+from mstdim.generators import ShapeFamily, builtin_shape, generate_uniform
 from mstdim.lemma_checks import lemma2_check, lemma4_check, normalized_constant
 from mstdim.metric import (
     Lp,
@@ -121,7 +121,7 @@ def box_estimates(shape_clouds):
 def mst_estimates():
     estimates = {}
     for key, (name, dim, sizes, alphas) in MST_SETTINGS.items():
-        family = shape_family(name, dim=dim)
+        family = ShapeFamily(name, dim=dim)
         estimates[key] = mst_dimension(family, L2, sizes=sizes, alphas=alphas, seed=0)
     return estimates
 
@@ -382,7 +382,7 @@ def test_criterion_10_quasi_metric_support():
     box = box_dimension(cloud, snow, ratio=2.0**-0.5)
     box_ok = abs(box.value - 2.0) <= 0.1
 
-    family = shape_family("interval")
+    family = ShapeFamily("interval")
     mst = mst_dimension(
         family,
         snow,

@@ -6,6 +6,7 @@ import xml.etree.ElementTree as ET
 import numpy as np
 import pytest
 
+from mstdim import generators
 from mstdim.cli import exit_code_for, main
 from mstdim.errors import (
     CheckFailedError,
@@ -13,6 +14,7 @@ from mstdim.errors import (
     InputError,
     ResourceError,
 )
+from mstdim.generators import DEFAULT_POINT_BUDGET
 from mstdim.metric import Lp, PointCloud, read_cloud, write_cloud
 from mstdim.mst import build_mst_prim, read_tree, tree_total_length
 
@@ -80,6 +82,24 @@ def test_generate_resource_error(tmp_path, capsys):
           str(tmp_path / "x.csv")],
     )
     assert code == 5
+
+
+@pytest.mark.parametrize(
+    "shape_args",
+    [
+        ["grid", "--size", "2", "--dim", "100000000"],
+        ["cantor", "--depth", "100000000"],
+        ["sierpinski-carpet", "--depth", "100000000"],
+    ],
+    ids=["grid", "cantor", "carpet"],
+)
+def test_generate_huge_exponent_exits_5(tmp_path, capsys, shape_args):
+    code, stdout, err = run(
+        capsys, "generate", "--shape", *shape_args, "--out", str(tmp_path / "x.csv")
+    )
+    assert code == 5
+    assert stdout == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
 
 
 # ---------------------------------------------------------------------- mst
@@ -371,12 +391,17 @@ _DIM_BOX = ["dim-box", "--in", "{dir}/sq.csv", "--out", "{dir}/b.json"]
         _DIM_BOX + ["--anchor", "nan"],
         _DIM_BOX + ["--anchor", "inf"],
         _DIM_BOX + ["--max-scales", "0"],
+        ["generate", "--shape", "cantor", "--size", "5", "--depth", "4", "--out", "{dir}/c.csv"],
+        ["dim-mst", "--shape", "cantor", "--dim", "2", "--seed", "1", "--sizes", "8,16,32",
+         "--alphas", "0.5", "--out", "{dir}/d.json"],
+        _SCALE[:2] + ["interval", "--dim", "3"] + _SCALE[3:] + ["--sizes", "8,16", "--alphas", "1"],
     ],
     ids=["energy-nan", "energy-inf", "scale-alpha-nonpositive", "dim-mst-nan",
          "scale-size-1", "scale-no-sizes", "dim-mst-no-alphas", "verify-lemma2-trials-negative",
          "verify-lemma4-trials-negative", "verify-thm1-trials-0", "dim-box-frac-nan",
          "dim-box-frac-inf", "dim-box-frac-0", "dim-box-frac-above-1", "dim-box-min-0",
-         "dim-box-anchor-nan", "dim-box-anchor-inf", "dim-box-no-scales"],
+         "dim-box-anchor-nan", "dim-box-anchor-inf", "dim-box-no-scales",
+         "generate-size-and-depth", "dim-mst-cantor-dim-2", "scale-interval-dim-3"],
 )
 def test_invalid_numeric_arguments_exit_2(tmp_path, capsys, argv):
     cloud, tree = tmp_path / "sq.csv", tmp_path / "sq.json"
@@ -388,6 +413,27 @@ def test_invalid_numeric_arguments_exit_2(tmp_path, capsys, argv):
     assert stdout == ""
     assert err.startswith("error: ") and err.count("\n") == 1
     assert set(tmp_path.iterdir()) == before  # nothing written
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        _DIM_MST[:2] + ["uniform-cube"] + _DIM_MST[3:] + ["--alphas", "1"],
+        _SCALE + ["--alphas", "1"],
+    ],
+    ids=["dim-mst", "scale"],
+)
+def test_uniform_cube_over_budget_exits_5(tmp_path, capsys, monkeypatch, argv):
+    def no_draw(*args):
+        raise AssertionError("uniform points drawn over the budget")
+
+    monkeypatch.setattr(generators, "generate_uniform", no_draw)
+    sizes = ",".join(str(DEFAULT_POINT_BUDGET + k) for k in (1, 2, 3))
+    code, stdout, err = run(capsys, *[a.format(dir=tmp_path) for a in argv], "--sizes", sizes)
+    assert code == 5
+    assert stdout == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_mst_rejects_overflowing_coordinate_span(tmp_path, capsys):

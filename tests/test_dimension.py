@@ -16,7 +16,7 @@ from mstdim.dimension import (
     packing_lower_bound_check,
 )
 from mstdim.errors import EstimationError, InputError, InsufficientScalesError
-from mstdim.generators import builtin_shape, generate_grid, shape_family
+from mstdim.generators import ShapeFamily, builtin_shape, generate_grid
 from mstdim.metric import DistanceSpec, Lp, PointCloud, PowerQuasi, Snowflake
 from mstdim.mst import build_mst_prim
 from mstdim.energy import count_edges_longer_than
@@ -257,7 +257,7 @@ def test_least_squares_validation():
 
 def test_mst_dim_interval_exact():
     # path of n equispaced points: energy (n-1) h^alpha is an exact power law
-    fam = shape_family("interval")
+    fam = ShapeFamily("interval")
     est = mst_dimension(
         fam, L2, sizes=[64, 128, 256, 512, 1024], alphas=[0.4, 0.6, 0.8], seed=0
     )
@@ -266,7 +266,7 @@ def test_mst_dim_interval_exact():
 
 
 def test_mst_dim_grid():
-    fam = shape_family("grid", dim=2)
+    fam = ShapeFamily("grid", dim=2)
     est = mst_dimension(
         fam,
         L2,
@@ -278,7 +278,7 @@ def test_mst_dim_grid():
 
 
 def test_mst_dim_cantor_low_alpha():
-    fam = shape_family("cantor")
+    fam = ShapeFamily("cantor")
     est = mst_dimension(
         fam,
         L2,
@@ -290,7 +290,7 @@ def test_mst_dim_cantor_low_alpha():
 
 
 def test_mst_dim_uniform_with_replicates():
-    fam = shape_family("uniform-cube", dim=2)
+    fam = ShapeFamily("uniform-cube", dim=2)
     est = mst_dimension(
         fam,
         L2,
@@ -306,7 +306,7 @@ def test_mst_dim_uniform_with_replicates():
 
 
 def test_mst_dim_crossover_reported():
-    fam = shape_family("interval")
+    fam = ShapeFamily("interval")
     est = mst_dimension(
         fam,
         L2,
@@ -319,7 +319,7 @@ def test_mst_dim_crossover_reported():
 
 
 def test_mst_dim_estimation_failure_carries_diagnostics():
-    fam = shape_family("interval")
+    fam = ShapeFamily("interval")
     with pytest.raises(EstimationError) as err:
         mst_dimension(fam, L2, sizes=[64, 128, 256], alphas=[5.0], seed=0)
     assert "fits" in err.value.details
@@ -327,7 +327,7 @@ def test_mst_dim_estimation_failure_carries_diagnostics():
 
 
 def test_mst_dim_validation():
-    fam = shape_family("interval")
+    fam = ShapeFamily("interval")
     with pytest.raises(InputError):
         mst_dimension(fam, L2, sizes=[64, 128], alphas=[0.5], seed=0)
     for bad in (-1.0, math.nan, math.inf):
@@ -335,7 +335,7 @@ def test_mst_dim_validation():
             mst_dimension(fam, L2, sizes=[64, 128, 256], alphas=[bad, 1.0], seed=0)
     with pytest.raises(InputError):
         mst_dimension(
-            shape_family("uniform-cube", dim=2),
+            ShapeFamily("uniform-cube", dim=2),
             L2,
             sizes=[64, 128, 256],
             alphas=[0.5],
@@ -411,7 +411,7 @@ def test_eps_count_csv_roundtrip():
 
 
 def test_energy_table_csv():
-    fam = shape_family("interval")
+    fam = ShapeFamily("interval")
     est = mst_dimension(
         fam, L2, sizes=[64, 128, 256, 512], alphas=[0.5, 1.0], seed=0
     )

@@ -17,7 +17,7 @@ from mstdim.energy import (
     energy,
 )
 from mstdim.errors import InputError
-from mstdim.generators import builtin_shape, generate_uniform, shape_family
+from mstdim.generators import ShapeFamily, builtin_shape, generate_uniform
 from mstdim.metric import Lp, PointCloud, diameter
 from mstdim.mst import SpanningTree, build_mst_prim, build_mst_kruskal
 
@@ -96,7 +96,7 @@ def test_alphas_checked_before_any_build(monkeypatch, tmp_path, bad):
     with pytest.raises(InputError):
         check_alphas([1.0, bad])
     with pytest.raises(InputError):
-        mst_dimension(shape_family("interval"), L2, [64, 128, 256], [1.0, bad], seed=0)
+        mst_dimension(ShapeFamily("interval"), L2, [64, 128, 256], [1.0, bad], seed=0)
     with pytest.raises(InputError):
         packing_lower_bound_check(PointCloud([[0.0], [1.0]]), L2, 0.25, bad)
     with pytest.raises(InputError):

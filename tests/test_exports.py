@@ -1,6 +1,7 @@
 import ast
 import importlib
 import pkgutil
+import re
 from pathlib import Path
 
 import mstdim
@@ -33,3 +34,11 @@ def test_package_imports_only_exported_names():
         for alias in node.names:
             assert alias.name in _exported(module), f"{node.module}.{alias.name}"
             assert getattr(mstdim, alias.asname or alias.name) is getattr(module, alias.name)
+
+
+def test_readme_python_blocks_run():
+    readme = Path(__file__).resolve().parents[1] / "README.md"
+    blocks = re.findall(r"```python\n(.*?)```", readme.read_text(), re.S)
+    assert blocks
+    for block in blocks:
+        exec(compile(block, str(readme), "exec"), {})

@@ -4,15 +4,14 @@ import math
 import numpy as np
 import pytest
 
+from mstdim import generators
 from mstdim.errors import InputError, ResourceError
 from mstdim.generators import (
-    IfsSystem,
-    SimilarityMap,
+    DEFAULT_POINT_BUDGET,
+    ShapeFamily,
     builtin_shape,
     generate_grid,
-    generate_ifs_depth,
     generate_uniform,
-    shape_family,
 )
 from mstdim.metric import Lp, distance
 
@@ -83,39 +82,56 @@ def test_grid_row_major_order():
 # ---------------------------------------------------------------------- IFS
 
 
-def cantor_system():
-    return IfsSystem(
-        maps=(SimilarityMap(1 / 3, (0.0,)), SimilarityMap(1 / 3, (2 / 3,))),
-        ambient_dim=1,
-    )
-
-
 def test_cantor_depth_one():
-    cloud = generate_ifs_depth(cantor_system(), 1)
+    cloud, _ = builtin_shape("cantor", 1)
     assert np.array_equal(cloud.points, [[0.0], [2.0 / 3.0]])
 
 
 def test_cantor_depth_zero_is_base_point():
-    cloud = generate_ifs_depth(cantor_system(), 0)
-    assert np.array_equal(cloud.points, [[0.0]])  # fixed point of map 0
+    cloud, _ = builtin_shape("cantor", 0)
+    assert np.array_equal(cloud.points, [[0.0]])  # fixed point of the first map
 
 
-def test_cantor_depth9_matches_digit_oracle():
-    # oracle: the points are exactly the base-3 numbers with digits {0, 2},
-    # enumerated recursively with the same multiply-by-ratio arithmetic
-    def compositions(depth):
-        if depth == 0:
-            return [0.0]
-        prev = compositions(depth - 1)
-        third = 1.0 / 3.0
-        return [p * third for p in prev] + [p * third + 2.0 / 3.0 for p in prev]
+THIRD = 1.0 / 3.0
+# name -> (depth, ratio, digit offsets): a digit string o_1..o_k names the
+# point sum_i ratio^(i-1) * o_i
+DIGIT_ORACLES = {
+    "cantor": (9, THIRD, [(0.0,), (2.0 / 3.0,)]),
+    "cantor-dust": (5, THIRD, [(a, b) for b in (0.0, 2.0 / 3.0) for a in (0.0, 2.0 / 3.0)]),
+    "sierpinski-triangle": (7, 0.5, [(0.0, 0.0), (0.5, 0.0), (0.0, 0.5)]),
+    "sierpinski-carpet": (
+        4,
+        THIRD,
+        [(i / 3.0, j / 3.0) for i in range(3) for j in range(3) if (i, j) != (1, 1)],
+    ),
+}
 
-    expected = np.array(sorted(compositions(9))).reshape(-1, 1)
-    cloud = generate_ifs_depth(cantor_system(), 9)
-    assert cloud.n == 512
+
+@pytest.mark.parametrize("name", sorted(DIGIT_ORACLES))
+def test_ifs_depth_matches_digit_oracle(name):
+    # oracle: every digit string, enumerated recursively one coordinate at a
+    # time with the same multiply-by-ratio-then-add arithmetic
+    depth, ratio, offsets = DIGIT_ORACLES[name]
+
+    def compositions(k):
+        if k == 0:
+            return [tuple(0.0 for _ in offsets[0])]
+        prev = compositions(k - 1)
+        return [
+            tuple(ratio * x + o for x, o in zip(p, off)) for off in offsets for p in prev
+        ]
+
+    points = compositions(depth)
+    expected = np.array(sorted(set(points)))
+    cloud, known = builtin_shape(name, depth)
+    assert len(points) == len(offsets) ** depth == cloud.n  # no two digit strings meet
     assert np.array_equal(cloud.points, expected)
     assert np.all((cloud.points >= 0) & (cloud.points <= 1))
-    # smallest gap between sorted points is 2/3^9
+    assert known == math.log(len(offsets)) / math.log(1.0 / ratio)
+
+
+def test_cantor_depth9_smallest_gap():
+    cloud, _ = builtin_shape("cantor", 9)
     gaps = np.diff(cloud.points[:, 0])
     assert gaps.min() == pytest.approx(2.0 * 3.0**-9, rel=1e-12)
 
@@ -129,7 +145,9 @@ def test_sierpinski_depth7_count_and_dedup():
 
 def test_ifs_budget():
     with pytest.raises(ResourceError):
-        generate_ifs_depth(cantor_system(), 21)  # 2^21 > 10^6
+        builtin_shape("cantor", 20)  # 2^20 > 10^6
+    with pytest.raises(InputError):
+        builtin_shape("cantor", -1)
 
 
 def test_ifs_points_stay_in_cube():
@@ -143,63 +161,16 @@ def test_ifs_points_stay_in_cube():
         assert np.all(cloud.points >= 0.0) and np.all(cloud.points <= 1.0)
 
 
-def test_ifs_rejects_map_leaving_cube():
-    with pytest.raises(InputError):
-        IfsSystem(
-            maps=(SimilarityMap(0.5, (0.0,)), SimilarityMap(0.5, (0.7,))),
-            ambient_dim=1,
-        )
-
-
-def test_ifs_rejects_single_map():
-    with pytest.raises(InputError):
-        IfsSystem(maps=(SimilarityMap(0.5, (0.0,)),), ambient_dim=1)
-
-
-def test_similarity_map_validation():
-    with pytest.raises(InputError):
-        SimilarityMap(1.0, (0.0,))
-    with pytest.raises(InputError):
-        SimilarityMap(0.5, (0.0,), orthogonal=((2.0,),))
-
-
-def test_rotated_map_fixed_point_and_cube_check():
-    # quarter-turn similarity centered inside the cube
-    rot = ((0.0, -1.0), (1.0, 0.0))
-    m = SimilarityMap(0.5, (0.6, 0.2), orthogonal=rot)
-    fp = m.fixed_point()
-    assert np.allclose(m.apply(fp.reshape(1, -1))[0], fp, atol=1e-14)
-    system = IfsSystem(maps=(m, SimilarityMap(0.25, (0.0, 0.0))), ambient_dim=2)
-    cloud = generate_ifs_depth(system, 6)
-    assert np.all(cloud.points >= -1e-12) and np.all(cloud.points <= 1 + 1e-12)
-
-
-# ------------------------------------------------ similarity dimension root
-
-
 def test_similarity_dim_equation_all_builtins():
-    for name in ("cantor", "cantor-dust", "sierpinski-triangle", "sierpinski-carpet"):
-        cloud, known = builtin_shape(name, 2)
-        # recover the system's ratio list from the name
-        ratios = {
-            "cantor": [1 / 3] * 2,
-            "cantor-dust": [1 / 3] * 4,
-            "sierpinski-triangle": [0.5] * 3,
-            "sierpinski-carpet": [1 / 3] * 8,
-        }[name]
-        total = sum(r**known for r in ratios)
-        assert abs(total - 1.0) <= 1e-10
-
-
-def test_similarity_dim_uneven_ratios():
-    # oracle: ratios 1/2 and 1/4 give x + x^2 = 1 with x = 2^-s,
-    # so s = log2((1 + sqrt 5) / 2)
-    system = IfsSystem(
-        maps=(SimilarityMap(0.5, (0.0,)), SimilarityMap(0.25, (0.75,))),
-        ambient_dim=1,
-    )
-    expected = math.log2((1.0 + math.sqrt(5.0)) / 2.0)
-    assert system.similarity_dim == pytest.approx(expected, abs=1e-10)
+    ratios = {
+        "cantor": [1 / 3] * 2,
+        "cantor-dust": [1 / 3] * 4,
+        "sierpinski-triangle": [0.5] * 3,
+        "sierpinski-carpet": [1 / 3] * 8,
+    }
+    for name, rs in ratios.items():
+        _, known = builtin_shape(name, 2)
+        assert abs(sum(r**known for r in rs) - 1.0) <= 1e-10
 
 
 # ----------------------------------------------------------- builtin shapes
@@ -243,18 +214,55 @@ def test_builtin_determinism():
 
 
 def test_family_achievable_sizes():
-    assert not shape_family("cantor").is_random
-    assert not shape_family("grid", dim=2).is_random
-    assert shape_family("uniform-cube", dim=2).is_random
+    assert not ShapeFamily("cantor").is_random
+    assert not ShapeFamily("grid", dim=2).is_random
+    assert ShapeFamily("uniform-cube", dim=2).is_random
 
 
 def test_family_generate_validates_size():
-    fam = shape_family("sierpinski-triangle")
+    fam = ShapeFamily("sierpinski-triangle")
     cloud = fam.generate(81)
     assert cloud.n == 81
     with pytest.raises(InputError):
         fam.generate(80)
-    grid = shape_family("grid", dim=2)
+    grid = ShapeFamily("grid", dim=2)
     assert grid.generate(49).n == 49
     with pytest.raises(InputError):
         grid.generate(50)
+
+
+@pytest.mark.parametrize(
+    "name, dim, size, arg",
+    [
+        ("uniform-cube", 3, 300, 300),
+        ("grid", 3, 125, 5),
+        ("interval", None, 50, 50),
+        ("cantor", None, 256, 8),
+        ("cantor-dust", None, 256, 4),
+        ("sierpinski-triangle", None, 243, 5),
+        ("sierpinski-carpet", None, 512, 3),
+    ],
+)
+def test_family_member_is_the_builtin_shape(name, dim, size, arg):
+    cloud = ShapeFamily(name, dim).generate(size, seed=5)
+    expected, _ = builtin_shape(name, arg, dim, seed=5)
+    assert np.array_equal(cloud.points, expected.points)
+
+
+def test_family_refuses_what_builtin_shape_refuses(monkeypatch):
+    with pytest.raises(InputError):
+        ShapeFamily("cantor", 2).generate(8)
+    with pytest.raises(InputError):
+        ShapeFamily("interval", 3).generate(100)
+    with pytest.raises(InputError):
+        ShapeFamily("moebius")
+
+    # the budget is checked before any point is drawn
+    def no_draw(*args):
+        raise AssertionError("uniform points drawn over the budget")
+
+    monkeypatch.setattr(generators, "generate_uniform", no_draw)
+    with pytest.raises(ResourceError):
+        ShapeFamily("uniform-cube").generate(DEFAULT_POINT_BUDGET + 1)
+    with pytest.raises(ResourceError):
+        builtin_shape("uniform-cube", DEFAULT_POINT_BUDGET + 1)

@@ -191,6 +191,27 @@ def test_lemma4_vacuous_when_no_long_edges():
     assert report.passed and report.min_slack is None
 
 
+def _record_keys(report):
+    record = json.loads(report.to_text())
+    return set(record), set(record["parameters"]), set(record["details"])
+
+
+def test_vacuous_records_have_the_same_keys():
+    cloud = PointCloud([[0.0], [1.0], [3.0]])
+    tree = build_mst_prim(cloud, L2, root=0)
+    pair = PointCloud([[0.0], [1.0]])
+    vacuous = lemma2_check(pair, build_mst_prim(pair, L2))
+    full = lemma2_check(cloud, tree)
+    assert vacuous.min_slack is None and full.min_slack is not None
+    assert _record_keys(vacuous) == _record_keys(full)
+    assert vacuous.details["worst_pair"] is None
+    vacuous = lemma4_check(cloud, L2, tree, eps=5.0)
+    full = lemma4_check(cloud, L2, tree, eps=0.5)
+    assert vacuous.min_slack is None and full.min_slack is not None
+    assert _record_keys(vacuous) == _record_keys(full)
+    assert vacuous.details["min_center_distance"] is None
+
+
 # ------------------------------------------------ lemma4 closest-pair search
 
 
@@ -234,6 +255,7 @@ def test_lemma4_min_distance_is_exact(shape, metric):
         chosen = np.array(_collected(tree, 2.0**-k))
         report = lemma4_check(cloud, spec, tree, 2.0**-k)
         if len(chosen) < 2:
+            assert report.details["min_center_distance"] is None
             continue
         i, j = np.triu_indices(len(chosen), k=1)
         assert report.details["min_center_distance"] == float(dist[chosen[i], chosen[j]].min())
