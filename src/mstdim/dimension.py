@@ -263,6 +263,8 @@ def mst_dimension(
         raise InputError("need at least one alpha")
     if len(set(sizes)) != len(sizes):
         raise InputError("sizes must be distinct")
+    if sizes[0] < 2:
+        raise InputError(f"sizes must be >= 2 (a tree with edges), got {sizes[0]}")
     n_reps = reps if family.is_random else 1
     if family.is_random and reps < 3:
         raise InputError("random families need at least 3 replicates")

@@ -190,9 +190,9 @@ def lemma4_check(
     grid, from twice the threshold up. In up to 3 dimensions it evaluates a
     few distances per collected vertex (at most 5.4 on 2,000 points, uniform,
     cantor and carpet). The grid keys 3 coordinates, so d >= 4 is the
-    quadratic regime: up to twice the m (m - 1) / 2 pairs of m vertices in
-    uniform d = 5; a spec without a coordinate bound measures all of them.
-    """
+    quadratic regime. A pass that measures all m (m - 1) / 2 pairs of m
+    vertices ends the search: at most 1.07 times that count on 2,000
+    uniform points in d = 5, and one pass without a coordinate bound."""
     if not eps > 0:
         raise InputError("eps must be > 0")
     if tree.insertion_rank is None:

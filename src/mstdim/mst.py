@@ -15,22 +15,22 @@ the same edge set, bit for bit, whatever the ties in the data:
 
 How a tree is built. Rounds of candidate pairs come first: every pair at
 computed distance <= r, found through the cell grid of greedy packing and
-measured with ``DistanceSpec.pairs``. Kruskal over them, in canonical
-order, gives exactly the tree edges of length <= r. The first r is the
-median distance from 16 sampled points to their 8th nearest distinct point;
-each later round grows r (at most doubling, at most 32 pairs per point) and
-takes only the pairs that join two components, all longer than the last r,
-so Kruskal goes on in order. When another round would cost more, Prim grows
-the largest component over the rest, with distance rows between tree and
-outside points only.
+measured with ``DistanceSpec.pairs``. Borůvka merges over them, in
+canonical order, give exactly the tree edges of length <= r. The first r is
+the median distance from 16 sampled points to their 8th nearest distinct
+point; each later round grows r (at most doubling, at most 32 pairs per
+point) and takes only the pairs that join two components. When another
+round would cost more, Prim grows the largest component over the rest, with
+distance rows between tree and outside points only.
 
 What it costs. On clouds of bounded local density in up to 3 dimensions
-(the grid keys at most 3 coordinates) O(n) distance evaluations: about
-0.2 s for the carpet at depth 5 (32,768 points). Where the grid cannot
-separate points (a far outlier, many dimensions, a spec without a
-coordinate bound) the Prim stage does most of the work. No cloud takes more
-than n (n - 1) / 2 evaluations plus 80 n: 16 sampled rows and at most 64 n
-candidate pairs longer than their round's radius.
+(the grid keys at most 3 coordinates) O(n) distance evaluations, and array
+operations only up to the Prim stage: about 0.2 s for the carpet at depth 5
+(32,768 points). Where the grid cannot separate points (a far outlier, many
+dimensions, a spec without a coordinate bound) the Prim stage does most of
+the work. No cloud takes more than n (n - 1) / 2 evaluations plus 80 n: 16
+sampled rows and at most 64 n candidate pairs longer than their round's
+radius.
 """
 
 from __future__ import annotations
@@ -135,27 +135,6 @@ class SpanningTree:
         return f"SpanningTree(n={self.n}, builder={self.builder!r})"
 
 
-class _UnionFind:
-    __slots__ = ("parent",)
-
-    def __init__(self, n):
-        self.parent = list(range(n))
-
-    def find(self, x):
-        p = self.parent
-        while p[x] != x:
-            p[x] = p[p[x]]
-            x = p[x]
-        return x
-
-    def union(self, a, b):
-        ra, rb = self.find(a), self.find(b)
-        if ra == rb:
-            return False
-        self.parent[rb] = ra
-        return True
-
-
 def _first_radius(pts, spec) -> float:
     """Upper median, over up to _SAMPLE_ROWS evenly spaced points, of the
     distance to the _SAMPLE_RANK-th nearest point at a positive distance (0
@@ -177,31 +156,32 @@ class _CellPairs:
     position s pairs with the later positions of its key runs."""
 
     def __init__(self, pts, spec, radius, limit):
-        key, self.runs = _cell_keys(pts, spec.coordinate_radius(radius))
-        self.order = np.argsort(key, kind="stable")
-        self.key = key[self.order]
+        key, runs = _cell_keys(pts, spec.coordinate_radius(radius))
+        self.order = np.argsort(key, kind="stable").astype(np.int32)
+        key = key[self.order]
+        # 3**k neighbour cells for k keyed axes
+        self.axes = round(math.log(int((runs[1::2] - runs[0::2]).sum()), 3))
+        # per chunk of sorted positions from ``first``: the start and the
+        # length of the later positions in each key run, one row per position
+        self.chunks = []
         self.total = 0  # the pair count, or a count above ``limit``
-        for _, _, count in self._ranges():
+        for first in range(0, len(key), _CHUNK_POINTS):
+            rows = key[first : first + _CHUNK_POINTS, None]
+            lo = np.searchsorted(key, rows + runs[0::2])
+            count = np.searchsorted(key, rows + runs[1::2])
+            np.maximum(lo, np.arange(first + 1, first + 1 + len(rows))[:, None], out=lo)
+            count -= lo
+            np.maximum(count, 0, out=count)
+            self.chunks.append((first, lo.astype(np.int32), count.astype(np.int32)))
             self.total += int(count.sum())
             if self.total > limit:
                 break
 
-    def _ranges(self):
-        """Per chunk of sorted positions from ``first``: the start and the
-        length of the later positions in each key run, one row per position."""
-        n = len(self.key)
-        for first in range(0, n, _CHUNK_POINTS):
-            key = self.key[first : first + _CHUNK_POINTS, None]
-            lo = np.searchsorted(self.key, key + self.runs[0::2])
-            count = np.searchsorted(self.key, key + self.runs[1::2])
-            np.maximum(lo, np.arange(first + 1, first + 1 + len(key))[:, None], out=lo)
-            count -= lo
-            np.maximum(count, 0, out=count)
-            yield first, lo, count
-
     def blocks(self):
-        """(i, j) point-index arrays of at most about _BLOCK_PAIRS pairs each."""
-        for first, lo, count in self._ranges():
+        """(i, j) point-index arrays of at most about _BLOCK_PAIRS pairs each;
+        the ranges are freed as they are spent, so this runs once."""
+        while self.chunks:
+            first, lo, count = self.chunks.pop(0)
             per_point = count.sum(axis=1)
             ends = np.cumsum(per_point)
             start = 0
@@ -221,41 +201,55 @@ class _CellPairs:
 def _closest_distance(pts, spec, radius) -> float:
     """Least computed distance over all pairs of rows of ``pts``. A pass at
     ``radius`` measures the pairs in neighbouring cells, which hold every pair
-    within ``radius``; it ends the search if one is. The next pass runs at
-    twice the radius, or at the least value found if smaller (sure to end).
-    At radius inf no axis is keyed and every pair is measured."""
+    within ``radius``; it ends the search if one is, or if the pass measured
+    every pair. The next pass runs at twice the radius, or at the least value
+    found if smaller (sure to end)."""
     while True:
-        blocks = _CellPairs(pts, spec, radius, 0).blocks()  # no pair count needed
+        cells = _CellPairs(pts, spec, radius, math.inf)
+        blocks = cells.blocks()
         least = min((float(spec.pairs(pts[i], pts[j]).min()) for i, j in blocks), default=math.inf)
-        if least <= radius:
+        if least <= radius or 2 * cells.total == len(pts) * (len(pts) - 1):
             return least
         radius = min(2.0 * radius, least) or least
 
 
-def _labels(uf):
-    """The root of every point in ``uf``, by pointer jumping."""
-    label = np.array(uf.parent)
+def _join(label, u, v):
+    """Borůvka merges of one round's candidate pairs ``u``, ``v``, given in
+    canonical order (position is rank), into the forest whose components
+    ``label`` names by a root point. Returns the mask of the pairs the
+    minimal spanning forest takes and the labels after the merges.
+
+    Each step every component takes its least pair to another component,
+    a forest edge by the cut property. Under a strict order the minimal
+    spanning forest is unique, so the mask is exactly Kruskal's."""
+    n, end = len(label), len(u)
+    taken = np.zeros(end, dtype=bool)
+    pos = np.arange(end, dtype=np.int32)
+    a, b = label[u], label[v]
     while True:
-        up = label[label]
-        if np.array_equal(up, label):
-            return label
-        label = up
-
-
-def _kruskal(uf, u, v, need):
-    """Mask of the candidate pairs, in canonical order, that join two
-    components of ``uf``; stops after ``need`` of them."""
-    taken = np.zeros(len(u), dtype=bool)
-    union = uf.union
-    for start in range(0, len(u), _BLOCK_PAIRS):
-        chunk = slice(start, start + _BLOCK_PAIRS)
-        for k, a, b in zip(itertools.count(start), u[chunk].tolist(), v[chunk].tolist()):
-            if union(a, b):
-                taken[k] = True
-                need -= 1
-                if need == 0:
-                    return taken
-    return taken
+        cross = a != b
+        if not cross.all():
+            pos, a, b = pos[cross], a[cross], b[cross]
+        if not pos.size:
+            return taken, label
+        least = np.full(n, end, dtype=np.int32)
+        np.minimum.at(least, a, pos)
+        np.minimum.at(least, b, pos)
+        root = np.flatnonzero(least < end).astype(np.int32)
+        pick = least[root]
+        taken[pick] = True
+        # hook each component to the far end of its pair; two components
+        # that took the same pair root at the smaller label
+        to = label[u[pick]]
+        np.copyto(to, label[v[pick]], where=to == root)
+        parent = np.arange(n, dtype=np.int32)
+        parent[root] = to
+        keep = root[(parent[to] == root) & (root < to)]
+        parent[keep] = keep
+        while not np.array_equal(parent[parent], parent):  # pointer jumping
+            parent = parent[parent]
+        label = parent[label]
+        a, b = parent[a], parent[b]
 
 
 class _Outside:
@@ -324,10 +318,9 @@ def _canonical_tree(pts, spec):
     """The minimal spanning tree under (length, min index, max index), as
     arrays (u, v, length) with u < v, sorted in that order."""
     n = len(pts)
-    uf = _UnionFind(n)
+    label = np.arange(n, dtype=np.int32)  # the root point of each component
     found = [_NO_EDGES]  # tree edges, rounds in increasing radius
     need = n - 1
-    label = None
     radius = _first_radius(pts, spec)
     limit = _ROUND_PAIRS * n
     cells = _CellPairs(pts, spec, radius, limit)
@@ -335,50 +328,55 @@ def _canonical_tree(pts, spec):
     while cells.total <= limit and waste <= _WASTE_PAIRS * n:
         parts = [_NO_EDGES]
         for i, j in cells.blocks():
-            if label is not None:
+            if need < n - 1:  # only the pairs that join two components
                 cross = label[i] != label[j]
                 i, j = i[cross], j[cross]
             length = spec.pairs(pts[i], pts[j])
             near = length <= radius
             waste += i.size - int(np.count_nonzero(near))
-            i, j = i[near].astype(np.int32), j[near].astype(np.int32)
+            i, j = i[near], j[near]
             parts.append((np.minimum(i, j), np.maximum(i, j), length[near]))
         u, v, length = (np.concatenate(p) for p in zip(*parts))
         del parts
-        # every pair within ``radius`` that joins two components is here, and
-        # all are longer than the last round's radius: Kruskal goes on in order
+        # every pair within ``radius`` that joins two components is here: the
+        # forest's merges over them give exactly the tree edges <= ``radius``
         order = np.lexsort((v, u, length))
         u = u[order]
         v = v[order]
         length = length[order]
         del order
-        taken = _kruskal(uf, u, v, need)
+        taken, label = _join(label, u, v)
         found.append((u[taken], v[taken], length[taken]))
+        del u, v, length, taken
         need -= len(found[-1][0])
         if need == 0 or not 0.0 < radius < math.inf:
             break
-        label = _labels(uf)
         outside = n - int(np.bincount(label).max())
+        # a factor whose pair count, scaled from this round's, is over the
+        # limit gets no grid; the last one always does
+        count, axes = cells.total, cells.axes
         for growth in _GROWTH:
+            if count * growth**axes > limit and growth != _GROWTH[-1]:
+                continue
             cells = _CellPairs(pts, spec, radius * growth, limit)
             if cells.total <= limit:
                 break
         radius *= growth
         if outside * n <= _PRIM_PAIRS * cells.total:
             break  # growing the largest component by Prim costs less
+    del cells  # the Prim stage needs no ranges
     if need:
-        found.append(_finish(pts, spec, uf))
+        found.append(_finish(pts, spec, label))
     u, v, length = (np.concatenate(p) for p in zip(*found))
     order = np.lexsort((v, u, length))
     return u[order], v[order], length[order]
 
 
-def _finish(pts, spec, uf):
-    """Prim over the components of the forest in ``uf``: grow from the
-    largest, adding the least canonical edge out of the tree and the whole
-    component at its far end. Distance rows pair tree and outside points
-    only."""
-    label = _labels(uf)
+def _finish(pts, spec, label):
+    """Prim over the components of the forest ``label`` names by root
+    points: grow from the largest, adding the least canonical edge out of the
+    tree and the whole component at its far end. Distance rows pair tree and
+    outside points only."""
     by_label = np.argsort(label, kind="stable")  # each component ascending
     roots, starts, sizes = np.unique(label[by_label], return_index=True, return_counts=True)
     component = np.empty(len(pts), dtype=np.int64)
@@ -592,8 +590,8 @@ def tree_from_text(text: str) -> SpanningTree:
     # every value is a JSON number that passed the checks: the conversions
     # are exact and keep the parsed objects
     edges = [(int(u), int(v), float(length)) for u, v, length in raw]
-    uf = _UnionFind(n)
-    if not all(uf.union(u, v) for u, v, _ in edges):
+    # n - 1 edges are acyclic iff the merges take every one
+    if not _join(np.arange(n, dtype=np.int32), *ends.astype(np.int32).T)[0].all():
         raise InputError("tree record: the edges contain a cycle")
     rank = record.get("insertion_rank")
     if rank is not None:

@@ -1,5 +1,5 @@
-"""Distance specs the tests share: a metric with no coordinate bound and a
-wrapper that counts evaluations."""
+"""What the tests share: a metric with no coordinate bound, a wrapper that
+counts evaluations, and a sequential Kruskal over candidate pairs."""
 
 import numpy as np
 
@@ -39,3 +39,25 @@ class Counting(DistanceSpec):
 
     def coordinate_radius(self, t):
         return self.base.coordinate_radius(t)
+
+
+def kruskal_join(label, u, v):
+    """Reference for ``mst._join``: union-find Kruskal over the pairs ``u``,
+    ``v`` in list order, on the forest whose components ``label`` names.
+    Returns the mask of the pairs that join two components and the root of
+    every point afterwards."""
+    parent = np.asarray(label).tolist()
+
+    def find(x):
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    taken = np.zeros(len(u), dtype=bool)
+    for k, (a, b) in enumerate(zip(np.asarray(u).tolist(), np.asarray(v).tolist())):
+        ra, rb = find(a), find(b)
+        if ra != rb:
+            parent[rb] = ra
+            taken[k] = True
+    return taken, np.array([find(x) for x in range(len(parent))])

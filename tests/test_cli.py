@@ -395,13 +395,16 @@ _DIM_BOX = ["dim-box", "--in", "{dir}/sq.csv", "--out", "{dir}/b.json"]
         ["dim-mst", "--shape", "cantor", "--dim", "2", "--seed", "1", "--sizes", "8,16,32",
          "--alphas", "0.5", "--out", "{dir}/d.json"],
         _SCALE[:2] + ["interval", "--dim", "3"] + _SCALE[3:] + ["--sizes", "8,16", "--alphas", "1"],
+        _DIM_MST[:2] + ["grid"] + _DIM_MST[3:] + ["--sizes=-4,16,64", "--alphas", "1"],
+        _DIM_MST[:2] + ["cantor"] + _DIM_MST[3:] + ["--sizes=1,16,64", "--alphas", "1"],
     ],
     ids=["energy-nan", "energy-inf", "scale-alpha-nonpositive", "dim-mst-nan",
          "scale-size-1", "scale-no-sizes", "dim-mst-no-alphas", "verify-lemma2-trials-negative",
          "verify-lemma4-trials-negative", "verify-thm1-trials-0", "dim-box-frac-nan",
          "dim-box-frac-inf", "dim-box-frac-0", "dim-box-frac-above-1", "dim-box-min-0",
          "dim-box-anchor-nan", "dim-box-anchor-inf", "dim-box-no-scales",
-         "generate-size-and-depth", "dim-mst-cantor-dim-2", "scale-interval-dim-3"],
+         "generate-size-and-depth", "dim-mst-cantor-dim-2", "scale-interval-dim-3",
+         "dim-mst-size-negative", "dim-mst-size-1"],
 )
 def test_invalid_numeric_arguments_exit_2(tmp_path, capsys, argv):
     cloud, tree = tmp_path / "sq.csv", tmp_path / "sq.json"

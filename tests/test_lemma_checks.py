@@ -326,6 +326,22 @@ def test_lemma4_work_bound(shape, metric):
         assert counting.evals <= 16 * report.details["long_edges"]
 
 
+@pytest.mark.parametrize("metric", ["l2", "lp:3", "powerquasi:2"])
+def test_lemma4_work_bound_in_5_dimensions(metric):
+    # The grid keys 3 coordinates, so in d = 5 a pass may measure every pair
+    # of the m collected vertices. Such a pass ends the search, and the
+    # passes before it measure fewer pairs: no check may evaluate as many as
+    # the m (m - 1) distances of two scans of all pairs.
+    cloud = generate_uniform(2000, 5, seed=23)
+    spec = spec_from_string(metric)
+    tree = build_mst_prim(cloud, spec)
+    for k in range(1, 11):
+        counting = Counting(spec)
+        report = lemma4_check(cloud, counting, tree, 2.0**-k)
+        m = report.details["long_edges"]
+        assert m < 2 or counting.evals < m * (m - 1)
+
+
 # ----------------------------------------------------------- theorem1_check
 
 

@@ -12,6 +12,7 @@ from mstdim.metric import Lp, PointCloud, PowerQuasi, Snowflake
 from mstdim.mst import (
     SpanningTree,
     _CellPairs,
+    _join,
     _prufer_decode,
     brute_force_min_tree,
     build_mst_kruskal,
@@ -22,7 +23,7 @@ from mstdim.mst import (
     tree_total_length,
     write_tree,
 )
-from specs import Chebyshev, Counting
+from specs import Chebyshev, Counting, kruskal_join
 
 L2 = Lp(2.0)
 
@@ -470,6 +471,39 @@ def test_cell_pairs_cover_every_close_pair_once(seed, n, d, spec_idx, radius):
         if spec.one_to_many(pts[i], pts[j : j + 1])[0] <= radius
     }
     assert close <= set(found)
+
+
+def _partition(label):
+    """Each point's component named by its least member."""
+    _, first, inverse = np.unique(label, return_index=True, return_inverse=True)
+    return first[inverse]
+
+
+@settings(deadline=None, max_examples=200)
+@given(
+    seed=st.integers(0, 10**6),
+    n=st.integers(1, 40),
+    merged=st.integers(0, 40),
+    pairs=st.integers(0, 150),
+    levels=st.integers(1, 4),
+)
+def test_join_matches_sequential_kruskal(seed, n, merged, pairs, levels):
+    # candidates in canonical order over a forest with some components
+    # merged already; few length levels give ties, and small n gives pairs
+    # inside one component
+    rng = np.random.default_rng(seed)
+    _, label = kruskal_join(np.arange(n), *rng.integers(0, n, (2, merged)))
+    i, j = rng.integers(0, n, (2, pairs))
+    keep = i != j
+    u, v = np.minimum(i, j)[keep], np.maximum(i, j)[keep]
+    length = rng.integers(0, levels, u.size)
+    order = np.lexsort((v, u, length))
+    u, v = u[order].astype(np.int32), v[order].astype(np.int32)
+    expected_taken, expected_label = kruskal_join(label, u, v)
+    taken, joined = _join(label.astype(np.int32), u, v)
+    assert np.array_equal(taken, expected_taken)
+    assert np.array_equal(_partition(joined), _partition(expected_label))
+    assert np.array_equal(joined[joined], joined)  # every label is a root
 
 
 def _adversarial_clouds(n):
