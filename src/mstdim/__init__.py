@@ -20,7 +20,6 @@ from .errors import (
     InsufficientScalesError,
     ResourceError,
     ToolkitError,
-    UnsupportedMetricError,
 )
 from .generators import (
     ShapeFamily,

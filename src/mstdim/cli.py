@@ -386,7 +386,7 @@ def cmd_scale(args) -> int:
             if args.progress:
                 print(f"cell {cell}/{total_cells}", file=sys.stderr)
             cloud = family.generate(n, seed=seed)
-            lengths = build_mst_kruskal(cloud, spec).lengths()
+            lengths = build_mst_kruskal(cloud, spec).length
             max_edge = float(lengths.max())
             for alpha, value in zip(alphas, energies(lengths, alphas)):
                 rows.append(

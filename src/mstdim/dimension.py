@@ -171,7 +171,6 @@ def default_eps_schedule(diam: float, ratio: float = 0.5, max_scales: int = 60):
 def box_dimension(
     cloud: PointCloud,
     spec: DistanceSpec,
-    eps_schedule=None,
     window: WindowPolicy | None = None,
     ratio: float = 0.5,
     anchor: float | None = None,
@@ -179,34 +178,24 @@ def box_dimension(
 ) -> DimensionEstimate:
     """Packing-count dimension: slope of log count against log (1/eps).
 
-    With no explicit schedule, scales shrink geometrically (``ratio`` per
-    step, default halving) from ``anchor`` (default: the cloud diameter)
-    downward, stopping once counts leave the window from above. An explicit
-    ``eps_schedule`` is evaluated in full. At least 4 scales must survive the
-    window or the estimate is refused.
+    Scales shrink geometrically (``ratio`` per step, default halving) from
+    ``anchor`` (default: the cloud diameter) downward, stopping once counts
+    leave the window from above. At least 4 scales must survive the window or
+    the estimate is refused.
     """
     window = window or WindowPolicy()
     n = cloud.n
+    if anchor is None:
+        anchor = diameter(cloud, spec)
+    if anchor <= 0.0:
+        raise InputError("cannot estimate dimension of coincident points")
+    cap = n * window.max_fraction
     series = []
-    if eps_schedule is None:
-        if anchor is None:
-            anchor = diameter(cloud, spec)
-        if anchor <= 0.0:
-            raise InputError("cannot estimate dimension of coincident points")
-        cap = n * window.max_fraction
-        for eps in default_eps_schedule(anchor, ratio, max_scales):
-            count = greedy_packing(cloud, spec, eps).count
-            series.append((float(eps), count))
-            if count > cap or count >= n:
-                break
-    else:
-        schedule = [float(e) for e in eps_schedule]
-        if any(e <= 0 for e in schedule):
-            raise InputError("eps values must be positive")
-        if any(b >= a for a, b in zip(schedule, schedule[1:])):
-            raise InputError("eps schedule must be strictly decreasing")
-        for eps in schedule:
-            series.append((float(eps), greedy_packing(cloud, spec, eps).count))
+    for eps in default_eps_schedule(anchor, ratio, max_scales):
+        count = greedy_packing(cloud, spec, eps).count
+        series.append((float(eps), count))
+        if count > cap or count >= n:
+            break
     usable = [(eps, count) for eps, count in series if window.keep(count, n)]
     if len(usable) < 4:
         raise InsufficientScalesError(
@@ -265,6 +254,8 @@ def mst_dimension(
         raise InputError("sizes must be distinct")
     if sizes[0] < 2:
         raise InputError(f"sizes must be >= 2 (a tree with edges), got {sizes[0]}")
+    if seed < 0:
+        raise InputError(f"seed must be >= 0, got {seed}")
     n_reps = reps if family.is_random else 1
     if family.is_random and reps < 3:
         raise InputError("random families need at least 3 replicates")
@@ -278,7 +269,7 @@ def mst_dimension(
                 rep_seed = 0
             cloud = family.generate(size, seed=rep_seed)
             tree = build_mst_kruskal(cloud, spec)
-            for a, val in zip(alphas, energies(tree.lengths(), alphas)):
+            for a, val in zip(alphas, energies(tree.length, alphas)):
                 if val <= 0.0:
                     raise EstimationError(
                         f"zero energy at size {size}, alpha {a}",
@@ -351,7 +342,7 @@ def packing_lower_bound_check(
     if packing.count < 2:
         raise InputError("packing produced fewer than 2 centers, nothing to check")
     centers = PointCloud(cloud.points[packing.center_indices])
-    lengths = build_mst_kruskal(centers, spec).lengths()
+    lengths = build_mst_kruskal(centers, spec).length
     min_edge = float(lengths.min())
     (energy_value,) = energies(lengths, [alpha])
     bound = (packing.count - 1) * (2.0 * eps) ** alpha

@@ -29,23 +29,7 @@ __all__ = [
     "energies",
     "check_alphas",
     "count_edges_longer_than",
-    "dyadic_band_index",
 ]
-
-
-def dyadic_band_index(length: float) -> int | None:
-    """Band k with 2^-k-1 < length <= 2^-k, None for lengths above 1.
-
-    Exact powers of two land in the band they close: 2^-k is in band k.
-    """
-    if length <= 0.0:
-        raise InputError("band index requires a positive length")
-    if length > 1.0:
-        return None
-    mantissa, exponent = math.frexp(length)  # length = mantissa * 2^exponent
-    if mantissa == 0.5:
-        return 1 - exponent
-    return -exponent
 
 
 @dataclass
@@ -106,24 +90,20 @@ def energies(lengths, alphas) -> list:
 def energy(tree: SpanningTree, alpha: float) -> EnergyReport:
     """The alpha-energy of the tree (see ``energies``) with its dyadic
     length histogram."""
-    lengths = np.sort(tree.lengths())
+    lengths = np.sort(tree.length)
     (value,) = energies(lengths, [alpha])
     nonzero = lengths[lengths > 0.0]
-    bands: dict[int, int] = {}
-    overflow = 0
-    for length in nonzero:
-        k = dyadic_band_index(float(length))
-        if k is None:
-            overflow += 1
-        else:
-            bands[k] = bands.get(k, 0) + 1
+    # length = mantissa * 2^exponent, mantissa in [0.5, 1): band -exponent,
+    # and 2^-k (mantissa 0.5) closes band k
+    mantissa, exponent = np.frexp(nonzero[nonzero <= 1.0])
+    bands, counts = np.unique((mantissa == 0.5) - exponent, return_counts=True)
     return EnergyReport(
         alpha=alpha,
         value=value,
         max_edge=float(lengths[-1]) if lengths.size else 0.0,
         n=tree.n,
-        bands=bands,
-        overflow=overflow,
+        bands=dict(zip(bands.tolist(), counts.tolist())),
+        overflow=int(np.count_nonzero(nonzero > 1.0)),
         zero_edges=int(lengths.size - nonzero.size),
     )
 
@@ -132,4 +112,4 @@ def count_edges_longer_than(tree: SpanningTree, eps: float) -> int:
     """Number of edges with length strictly greater than eps."""
     if not eps > 0:
         raise InputError("eps must be > 0")
-    return int(np.count_nonzero(tree.lengths() > eps))
+    return int(np.count_nonzero(tree.length > eps))

@@ -15,10 +15,6 @@ class InputError(ToolkitError):
     exit_code = 2
 
 
-class UnsupportedMetricError(InputError):
-    """Operation requires a metric kind the given spec does not provide."""
-
-
 class CheckFailedError(ToolkitError):
     """A verification suite found a violated property."""
 

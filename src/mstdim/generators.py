@@ -71,6 +71,8 @@ def generate_uniform(n: int, d: int, seed: int) -> PointCloud:
         raise InputError("n must be >= 1")
     if d < 1:
         raise InputError("d must be >= 1")
+    if seed < 0:
+        raise InputError(f"seed must be >= 0, got {seed}")
     rng = np.random.default_rng(seed)
     return PointCloud(rng.random((n, d)))
 

@@ -20,7 +20,7 @@ import math
 
 import numpy as np
 
-from .errors import InputError, UnsupportedMetricError
+from .errors import InputError
 from .generators import generate_uniform
 from .energy import check_alphas, energies
 from .metric import DistanceSpec, Lp, PointCloud
@@ -86,6 +86,8 @@ def lemma1_sweep(
         raise InputError("trials must be >= 1")
     if d < 1:
         raise InputError("d must be >= 1")
+    if seed < 0:
+        raise InputError(f"seed must be >= 0, got {seed}")
     rng = np.random.default_rng(seed)
     norm_hi = 1.05 if near_boundary else 3.0
     accepted = 0
@@ -125,31 +127,18 @@ def lemma1_sweep(
     )
 
 
-def lemma2_check(
-    cloud: PointCloud,
-    tree: SpanningTree,
-    spec: DistanceSpec | None = None,
-    tol: float = 1e-12,
-) -> CheckReport:
+def lemma2_check(cloud: PointCloud, tree: SpanningTree, tol: float = 1e-12) -> CheckReport:
     """Midpoint-ball disjointness on a Euclidean minimal tree: for every edge
     pair the midpoints must be at least (len_e + len_f)/10 apart.
 
-    Requires plain Euclidean coordinates (edge midpoints are taken in
-    coordinates, which only matches ball centers under the l2 metric).
+    Edge midpoints are taken in coordinates, which only matches ball centers
+    under the l2 metric: the tree must be built under l2.
     """
-    spec = spec or Lp(2.0)
-    if not (isinstance(spec, Lp) and spec.p == 2.0):
-        raise UnsupportedMetricError(
-            "midpoint-ball check requires the l2 metric (midpoints must exist)"
-        )
-    m = len(tree.edges)
+    m = len(tree.length)
     min_slack, worst_pair = None, None
     if m >= 2:
-        pts = cloud.points
-        us = np.array([e[0] for e in tree.edges])
-        vs = np.array([e[1] for e in tree.edges])
-        lengths = tree.lengths()
-        mids = (pts[us] + pts[vs]) / 2.0
+        pts, lengths = cloud.points, tree.length
+        mids = (pts[tree.u] + pts[tree.v]) / 2.0
         # row-major blocks with a strict < keep the first minimum of the triangle
         rows = max(1, LEMMA2_BLOCK_ELEMENTS // (m * mids.shape[1]))
         for r0 in range(0, m - 1, rows):
@@ -197,11 +186,10 @@ def lemma4_check(
         raise InputError("eps must be > 0")
     if tree.insertion_rank is None:
         raise InputError("tree lacks insertion ranks, build it with prim")
-    rank = tree.insertion_rank
-    chosen = []
-    for u, v, length in tree.edges:
-        if length > eps:
-            chosen.append(v if rank[v] > rank[u] else u)
+    rank = np.asarray(tree.insertion_rank)
+    long = tree.length > eps
+    u, v = tree.u[long], tree.v[long]
+    chosen = np.where(rank[v] > rank[u], v, u)
     c_w = spec.weak_triangle_const
     threshold = 2.0 * eps / (3.0 * c_w)
     min_dist = None
@@ -255,7 +243,7 @@ def theorem1_check(
         for seed in seeds:
             cloud = generate_uniform(n, d, seed)
             tree = build_mst_kruskal(cloud, Lp(2.0))
-            for a, value in zip(alphas, energies(tree.lengths(), alphas)):
+            for a, value in zip(alphas, energies(tree.length, alphas)):
                 table[a][n].append(normalized_constant(value, n, d, a))
     max_c = 0.0
     trends = {}

@@ -370,6 +370,8 @@ def validate_quasi_metric(
         raise InputError("trials must be >= 1")
     if cloud.n < 3:
         raise InputError("quasi-metric validation needs at least 3 points")
+    if seed < 0:
+        raise InputError(f"seed must be >= 0, got {seed}")
     rng = np.random.default_rng(seed)
     idx = rng.integers(0, cloud.n, size=(trials, 3))
     pts = cloud.points

@@ -8,10 +8,15 @@ the same edge set, bit for bit, whatever the ties in the data:
 * ``build_mst_kruskal``: the tree as (min index, max index, length) edges in
   Kruskal order, ascending in the canonical order.
 * ``build_mst_prim``: the same tree in the order greedy growth from a root
-  adds it, with the insertion ranks downstream verifiers need.
+  adds it, with the insertion ranks downstream verifiers need. The order
+  comes from a heap of edge positions in the canonical order.
 * ``brute_force_min_tree``: exhaustive minimum of the alpha-energy over all
   n^(n-2) labeled spanning trees, enumerated through Prufer sequences.
   The small-n oracle the builders are tested against.
+
+Each returns a ``SpanningTree`` that stores its edges as the arrays ``u``,
+``v`` and ``length``; tree records, energies and the lemma checks read them
+whole.
 
 How a tree is built. Rounds of candidate pairs come first: every pair at
 computed distance <= r, found through the cell grid of greedy packing and
@@ -45,7 +50,6 @@ import numpy as np
 from .energy import check_alphas
 from .errors import InputError
 from .metric import DistanceSpec, PointCloud, _cell_keys
-from .reports import format_float
 
 __all__ = [
     "SpanningTree",
@@ -83,41 +87,31 @@ _NO_EDGES = (np.empty(0, dtype=np.int32), np.empty(0, dtype=np.int32), np.empty(
 
 
 class SpanningTree:
-    """Edge list of a spanning tree over vertices {0, ..., n-1}.
+    """A spanning tree over vertices {0, ..., n-1} as edge arrays: edge k
+    joins ``u[k]`` and ``v[k]`` at distance ``length[k]``.
 
-    ``edges`` holds (u, v, length) triples. For Prim-built trees the edges are
-    in insertion order with u the tree-side endpoint, and ``insertion_rank``
-    maps each vertex to the step at which it joined (root has rank 0).
-    A tree built from edge arrays makes the triples on first use, so callers
-    that read only ``lengths()`` never pay for them.
+    ``edges`` may be given as (u, v, length) triples or as a tuple of the
+    three arrays; the triples are read back from the arrays. For Prim-built
+    trees the edges are in insertion order with u the tree-side endpoint, and
+    ``insertion_rank`` maps each vertex to the step at which it joined (root
+    has rank 0): edge k's v has rank k + 1.
     """
 
-    __slots__ = ("n", "builder", "insertion_rank", "_edges", "_arrays")
+    __slots__ = ("n", "builder", "insertion_rank", "u", "v", "length")
 
-    def __init__(self, n: int, builder: str, edges: list, insertion_rank: list | None = None):
+    def __init__(self, n: int, builder: str, edges, insertion_rank: list | None = None):
+        if not isinstance(edges, tuple):
+            table = np.array(edges, dtype=np.float64).reshape(-1, 3)
+            edges = table[:, 0].astype(np.int64), table[:, 1].astype(np.int64), table[:, 2]
         self.n = n
         self.builder = builder
         self.insertion_rank = insertion_rank
-        self._edges = edges
-        self._arrays = None
-
-    @classmethod
-    def _from_arrays(cls, n, builder, u, v, length):
-        tree = cls(n, builder, None)
-        tree._arrays = (u, v, length)
-        return tree
+        self.u, self.v, self.length = edges
 
     @property
     def edges(self) -> list:
-        if self._edges is None:
-            u, v, length = self._arrays
-            self._edges = list(zip(u.tolist(), v.tolist(), length.tolist()))
-        return self._edges
-
-    def lengths(self) -> np.ndarray:
-        if self._arrays is not None:
-            return self._arrays[2].copy()
-        return np.array([e[2] for e in self.edges], dtype=np.float64)
+        """The (u, v, length) triples, made on each call."""
+        return list(zip(self.u.tolist(), self.v.tolist(), self.length.tolist()))
 
     def __eq__(self, other):
         if not isinstance(other, SpanningTree):
@@ -412,7 +406,8 @@ def build_mst_prim(cloud: PointCloud, spec: DistanceSpec, root: int = 0) -> Span
 
     The order comes from a heap-driven growth over the tree's own edges: by
     the cut property the least edge leaving the tree is a tree edge, so it
-    equals the order of a dense scan over all pairs.
+    equals the order of a dense scan over all pairs. The edges come sorted in
+    canonical order, so the heap holds their positions.
     """
     n = cloud.n
     if not (0 <= root < n):
@@ -423,22 +418,24 @@ def build_mst_prim(cloud: PointCloud, spec: DistanceSpec, root: int = 0) -> Span
     ends = np.concatenate([u, v])
     by_end = np.argsort(ends, kind="stable")
     start = np.searchsorted(ends[by_end], np.arange(n + 1)).tolist()
-    other = np.concatenate([v, u])[by_end].tolist()
-    other_length = np.concatenate([length, length])[by_end].tolist()
+    incident = (by_end % (n - 1)).tolist()  # edge positions, grouped by vertex
+    us, vs = u.tolist(), v.tolist()
     rank = [-1] * n
     rank[root] = 0
-    heap = []
-    edges = []
-    w = root
+    heap, order, new = [], [], []
+    w, p = root, -1
     for step in range(1, n):
+        # every edge at w but the one it joined by leads outside the tree
         for k in range(start[w], start[w + 1]):
-            x = other[k]
-            if rank[x] < 0:
-                heapq.heappush(heap, (other_length[k], min(w, x), max(w, x), w, x))
-        d, _, _, t, w = heapq.heappop(heap)
+            if incident[k] != p:
+                heapq.heappush(heap, incident[k])
+        p = heapq.heappop(heap)
+        w = vs[p] if rank[vs[p]] < 0 else us[p]
         rank[w] = step
-        edges.append((t, w, d))
-    return SpanningTree(n=n, builder="prim", edges=edges, insertion_rank=rank)
+        order.append(p)
+        new.append(w)
+    u, v, new = u[order], v[order], np.array(new, dtype=u.dtype)
+    return SpanningTree(n, "prim", (np.where(u == new, v, u), new, length[order]), rank)
 
 
 def build_mst_kruskal(cloud: PointCloud, spec: DistanceSpec) -> SpanningTree:
@@ -446,7 +443,7 @@ def build_mst_kruskal(cloud: PointCloud, spec: DistanceSpec) -> SpanningTree:
     Kruskal order: ascending in (length, min index, max index)."""
     if cloud.n == 1:
         return SpanningTree(n=1, builder="kruskal", edges=[])
-    return SpanningTree._from_arrays(cloud.n, "kruskal", *_canonical_tree(cloud.points, spec))
+    return SpanningTree(cloud.n, "kruskal", _canonical_tree(cloud.points, spec))
 
 
 def _prufer_decode(seq, n):
@@ -515,28 +512,26 @@ def brute_force_min_tree(cloud: PointCloud, spec: DistanceSpec, alpha: float):
     energies, seqs = _all_tree_energies(weights)
     best = int(np.argmin(energies))
     edge_pairs = _prufer_decode([int(x) for x in seqs[best]], n)
-    edges = [(u, v, float(dist[u, v])) for u, v in edge_pairs]
-    tree = SpanningTree(n=n, builder="brute-force", edges=edges)
+    u, v = np.array(edge_pairs).T
+    tree = SpanningTree(n, "brute-force", (u, v, dist[u, v]))
     return tree, float(energies[best])
 
 
 def tree_total_length(tree: SpanningTree) -> float:
     """Sum of edge lengths, accumulated in ascending order; 0 for n = 1."""
-    if not tree.edges:
-        return 0.0
-    return float(np.sort(tree.lengths()).sum())
+    return float(np.sort(tree.length).sum())
 
 
 def tree_to_text(tree: SpanningTree) -> str:
     """Serialize to the tree record format (floats at 17 significant digits,
     so parsing the text back reproduces the lengths bit for bit)."""
     edge_parts = ", ".join(
-        f"[{u}, {v}, {format_float(length)}]" for u, v, length in tree.edges
+        map("[{}, {}, {:.17g}]".format, tree.u.tolist(), tree.v.tolist(), tree.length.tolist())
     )
     rank = (
         "null"
         if tree.insertion_rank is None
-        else "[" + ", ".join(str(r) for r in tree.insertion_rank) + "]"
+        else "[" + ", ".join(map(str, tree.insertion_rank)) + "]"
     )
     return (
         "{"
@@ -560,7 +555,8 @@ def tree_from_text(text: str) -> SpanningTree:
     """Parse a tree record, rejecting anything that is not a spanning tree:
     n - 1 ``[u, v, length]`` triples with indices in range and u != v, no
     cycle, finite non-negative lengths, and insertion ranks (if present)
-    forming a permutation of range(n)."""
+    forming a permutation of range(n) in the edge order: edge k's v has rank
+    k + 1 and its u a smaller one."""
     try:
         record = json.loads(text)
     except json.JSONDecodeError as exc:
@@ -588,10 +584,10 @@ def tree_from_text(text: str) -> SpanningTree:
     if not np.all(np.isfinite(lengths) & (lengths >= 0.0)):
         raise InputError("tree record: edge lengths must be finite and >= 0")
     # every value is a JSON number that passed the checks: the conversions
-    # are exact and keep the parsed objects
-    edges = [(int(u), int(v), float(length)) for u, v, length in raw]
+    # are exact
+    u, v = ends.astype(np.int64).T
     # n - 1 edges are acyclic iff the merges take every one
-    if not _join(np.arange(n, dtype=np.int32), *ends.astype(np.int32).T)[0].all():
+    if not _join(np.arange(n, dtype=np.int32), u, v)[0].all():
         raise InputError("tree record: the edges contain a cycle")
     rank = record.get("insertion_rank")
     if rank is not None:
@@ -600,13 +596,13 @@ def tree_from_text(text: str) -> SpanningTree:
             np.sort(ranks), np.arange(n)
         ):
             raise InputError("tree record: insertion_rank must be a permutation of range(n)")
-        rank = [int(r) for r in rank]
-    return SpanningTree(
-        n=n,
-        builder=str(record["builder"]),
-        edges=edges,
-        insertion_rank=rank,
-    )
+        if not np.all((ranks[v] == np.arange(1, n)) & (ranks[u] < ranks[v])):
+            raise InputError(
+                "tree record: insertion_rank must follow the edges: "
+                "edge k joins a vertex of rank k + 1 to one of smaller rank"
+            )
+        rank = ranks.astype(np.int64).tolist()
+    return SpanningTree(n, str(record["builder"]), (u, v, lengths), rank)
 
 
 def write_tree(tree: SpanningTree, path) -> None:

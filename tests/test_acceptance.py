@@ -68,7 +68,7 @@ def thm1_sweep():
         for seed in seeds:
             cloud = generate_uniform(n, 2, seed=seed * 1_000_003 + n)
             tree = build_mst_prim(cloud, L2)
-            lengths[(n, seed)] = np.sort(tree.lengths())
+            lengths[(n, seed)] = np.sort(tree.length)
     elapsed = time.monotonic() - started
     return {"sizes": sizes, "seeds": seeds, "lengths": lengths, "elapsed": elapsed}
 
@@ -162,7 +162,7 @@ def test_criterion_2_energy_minimizer_universality():
         n = int(rng.integers(3, 8))
         cloud = PointCloud(rng.random((n, 2)))
         kruskal = build_mst_kruskal(cloud, L2)
-        lengths = np.sort(kruskal.lengths())
+        lengths = np.sort(kruskal.length)
         for alpha in (0.5, 1.0, 2.0, 3.0):
             value = float(np.sum(lengths**alpha))
             _, brute = brute_force_min_tree(cloud, L2, alpha)

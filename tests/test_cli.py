@@ -170,13 +170,18 @@ def test_energy_prints_unit_square_value(tmp_path, capsys):
         {"n": 3, "builder": "prim", "edges": [[0, 1, 1], [1, 2, 1]],
          "insertion_rank": [0, 1, 1]},
         {"n": 2, "builder": "prim", "edges": [[0, 1, 1]], "insertion_rank": 5},
+        {"n": 3, "builder": "prim", "edges": [[0, 1, 1.0], [1, 2, 1.0]],
+         "insertion_rank": [0, 2, 1]},  # ranks against the edge order
+        {"n": 3, "builder": "prim", "edges": [[0, 2, 1.0], [0, 1, 1.0]],
+         "insertion_rank": [0, 1, 2]},  # edge 0 adds the vertex of rank 2
         {"n": 2, "builder": "prim", "edges": [[0, 10**400, 1]]},
         {"n": 2, "builder": "prim", "edges": [[0, "1.0", 1]]},
         {"n": 0, "builder": "prim", "edges": []},
         [0, 1, 0.5],
     ],
     ids=["short-edge", "index-range", "negative", "nan", "self-loop", "cycle",
-         "edge-count", "non-integer", "ranks", "scalar-ranks", "huge-index", "string-index", "empty",
+         "edge-count", "non-integer", "ranks", "scalar-ranks", "rank-order",
+         "rank-edge-order", "huge-index", "string-index", "empty",
          "not-object"],
 )
 def test_energy_rejects_invalid_tree(tmp_path, capsys, record):
@@ -397,6 +402,13 @@ _DIM_BOX = ["dim-box", "--in", "{dir}/sq.csv", "--out", "{dir}/b.json"]
         _SCALE[:2] + ["interval", "--dim", "3"] + _SCALE[3:] + ["--sizes", "8,16", "--alphas", "1"],
         _DIM_MST[:2] + ["grid"] + _DIM_MST[3:] + ["--sizes=-4,16,64", "--alphas", "1"],
         _DIM_MST[:2] + ["cantor"] + _DIM_MST[3:] + ["--sizes=1,16,64", "--alphas", "1"],
+        ["generate", "--shape", "uniform-cube", "--size", "10", "--seed", "-1",
+         "--out", "{dir}/x.csv"],
+        ["verify", "--suite", "lemma1", "--trials", "1", "--seed", "-1"],
+        ["dim-mst", "--shape", "uniform-cube", "--sizes", "16,32,64", "--alphas", "1",
+         "--seed", "-1"],
+        ["scale", "--shape", "uniform-cube", "--sizes", "16", "--alphas", "1", "--seeds", "-3",
+         "--out", "{dir}/s.csv"],
     ],
     ids=["energy-nan", "energy-inf", "scale-alpha-nonpositive", "dim-mst-nan",
          "scale-size-1", "scale-no-sizes", "dim-mst-no-alphas", "verify-lemma2-trials-negative",
@@ -404,7 +416,8 @@ _DIM_BOX = ["dim-box", "--in", "{dir}/sq.csv", "--out", "{dir}/b.json"]
          "dim-box-frac-inf", "dim-box-frac-0", "dim-box-frac-above-1", "dim-box-min-0",
          "dim-box-anchor-nan", "dim-box-anchor-inf", "dim-box-no-scales",
          "generate-size-and-depth", "dim-mst-cantor-dim-2", "scale-interval-dim-3",
-         "dim-mst-size-negative", "dim-mst-size-1"],
+         "dim-mst-size-negative", "dim-mst-size-1", "generate-seed-negative",
+         "verify-seed-negative", "dim-mst-seed-negative", "scale-seed-negative"],
 )
 def test_invalid_numeric_arguments_exit_2(tmp_path, capsys, argv):
     cloud, tree = tmp_path / "sq.csv", tmp_path / "sq.json"

@@ -218,14 +218,6 @@ def test_box_insufficient_scales():
     assert "series" in err.value.details
 
 
-def test_box_explicit_schedule_validation():
-    cloud = PointCloud(np.random.default_rng(0).random((200, 2)))
-    with pytest.raises(InputError):
-        box_dimension(cloud, L2, eps_schedule=[0.5, 0.5, 0.25, 0.1])
-    with pytest.raises(InputError):
-        box_dimension(cloud, L2, eps_schedule=[0.5, 0.25, -0.1, 0.01])
-
-
 def test_box_window_respected():
     cloud, _ = builtin_shape("cantor", 9)
     window = WindowPolicy(min_count=4, max_fraction=0.25)

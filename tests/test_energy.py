@@ -12,7 +12,6 @@ from mstdim.energy import (
     EnergyReport,
     check_alphas,
     count_edges_longer_than,
-    dyadic_band_index,
     energies,
     energy,
 )
@@ -34,23 +33,51 @@ def make_tree(lengths):
 # -------------------------------------------------------------------- bands
 
 
+def reference_bands(lengths):
+    """(bands, overflow, zero_edges) by the band rule, one length at a time:
+    band k holds (2^-k-1, 2^-k], lengths above 1 overflow, zeros stand apart."""
+    bands = {}
+    for x in lengths:
+        if 0.0 < x <= 1.0:
+            k = 0
+            while x <= 2.0 ** (-k - 1):  # 2^-1075 rounds to 0, so k <= 1074
+                k += 1
+            bands[k] = bands.get(k, 0) + 1
+    return bands, sum(x > 1.0 for x in lengths), sum(x == 0.0 for x in lengths)
+
+
 def test_band_index_examples():
-    assert dyadic_band_index(1.0) == 0
-    assert dyadic_band_index(0.6) == 0
-    assert dyadic_band_index(0.5) == 1
-    assert dyadic_band_index(0.3) == 1
-    assert dyadic_band_index(0.25) == 2
-    assert dyadic_band_index(1.5) is None  # overflow band
-    with pytest.raises(InputError):
-        dyadic_band_index(0.0)
+    for length, band in [(1.0, 0), (0.6, 0), (0.5, 1), (0.3, 1), (0.25, 2)]:
+        assert energy(make_tree([length]), 1.0).bands == {band: 1}
+    report = energy(make_tree([1.5, 0.0]), 1.0)
+    assert report.bands == {}
+    assert report.overflow == 1  # the overflow band
+    assert report.zero_edges == 1  # zeros have no band
 
 
 @settings(deadline=None, max_examples=200)
 @given(x=st.floats(min_value=1e-300, max_value=1.0, exclude_min=False))
 def test_band_index_brackets_length(x):
-    k = dyadic_band_index(x)
-    assert k is not None and k >= 0
+    bands = energy(make_tree([x]), 1.0).bands
+    ((k, count),) = bands.items()
+    assert k >= 0 and count == 1
     assert 2.0 ** (-k - 1) < x <= 2.0**-k
+
+
+def test_bands_follow_the_rule_at_boundaries():
+    lengths = [0.0, 1.0, math.nextafter(1.0, 2.0), 5e-324, 1e300]
+    for k in (0, 1, 5, 52):
+        below, power, above = math.nextafter(2.0**-k, 0.0), 2.0**-k, math.nextafter(2.0**-k, 2.0)
+        lengths += [below, power, above]
+        assert reference_bands([below])[0] == reference_bands([power])[0] == {k: 1}
+        assert reference_bands([above]) == (({k - 1: 1}, 0, 0) if k else ({}, 1, 0))
+    assert reference_bands([5e-324])[0] == {1074: 1}
+    for length in lengths:
+        report = energy(make_tree([length]), 1.0)
+        assert (report.bands, report.overflow, report.zero_edges) == reference_bands([length])
+    report = energy(make_tree(lengths), 1.0)
+    assert (report.bands, report.overflow, report.zero_edges) == reference_bands(lengths)
+    assert report.overflow == 3 and report.zero_edges == 1
 
 
 # ------------------------------------------------------------------- energy

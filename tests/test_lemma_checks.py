@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from mstdim import lemma_checks
-from mstdim.errors import InputError, UnsupportedMetricError
+from mstdim.errors import InputError
 from mstdim.generators import builtin_shape, generate_grid, generate_uniform
 from mstdim.lemma_checks import (
     SQRT3_OVER_2,
@@ -93,13 +93,6 @@ def test_lemma2_uniform_cloud():
     assert report.min_slack > 0
 
 
-def test_lemma2_requires_l2():
-    cloud = PointCloud([[0.0], [1.0], [3.0]])
-    tree = build_mst_prim(cloud, Lp(1.0))
-    with pytest.raises(UnsupportedMetricError):
-        lemma2_check(cloud, tree, Lp(1.0))
-
-
 def test_lemma2_single_edge_vacuous():
     cloud = PointCloud([[0.0], [1.0]])
     tree = build_mst_prim(cloud, L2)
@@ -112,7 +105,7 @@ def test_lemma2_row_blocks_match_full_matrix(monkeypatch, block):
     # the unchunked m x m x d formula, first minimum in row-major triangle order
     cloud, _ = builtin_shape("grid", 5)  # many equal slacks
     tree = build_mst_prim(cloud, L2)
-    pts, lengths = cloud.points, tree.lengths()
+    pts, lengths = cloud.points, tree.length
     us = np.array([e[0] for e in tree.edges])
     vs = np.array([e[1] for e in tree.edges])
     mids = (pts[us] + pts[vs]) / 2.0
@@ -349,7 +342,7 @@ def test_normalized_constant_interval_grid():
     # unit-interval path: total length exactly 1, exponent 0, sqrt(1) = 1
     cloud = generate_grid(128, 1)
     tree = build_mst_prim(cloud, L2)
-    total = float(np.sort(tree.lengths()).sum())
+    total = float(np.sort(tree.length).sum())
     assert total == pytest.approx(1.0, rel=1e-12)
     assert normalized_constant(total, cloud.n, 1, 1.0) == pytest.approx(
         1.0, rel=1e-12
@@ -380,11 +373,11 @@ def test_theorem1_check_validation():
 def test_normalized_constant_invariances():
     rng = np.random.default_rng(8)
     pts = rng.random((40, 2))
-    base_total = float(np.sort(build_mst_prim(PointCloud(pts), L2).lengths()).sum())
+    base_total = float(np.sort(build_mst_prim(PointCloud(pts), L2).length).sum())
     base_c = normalized_constant(base_total, 40, 2, 1.0)
     # translating every coordinate leaves edge lengths (hence the constant)
     shifted = float(
-        np.sort(build_mst_prim(PointCloud(pts + 0.25), L2).lengths()).sum()
+        np.sort(build_mst_prim(PointCloud(pts + 0.25), L2).length).sum()
     )
     assert normalized_constant(shifted, 40, 2, 1.0) == pytest.approx(
         base_c, rel=1e-12
@@ -392,8 +385,8 @@ def test_normalized_constant_invariances():
     # permuting point order permutes vertex labels but not the length multiset
     perm = rng.permutation(40)
     permuted = build_mst_prim(PointCloud(pts[perm]), L2)
-    assert np.sort(permuted.lengths()) == pytest.approx(
-        np.sort(build_mst_prim(PointCloud(pts), L2).lengths()), rel=1e-12
+    assert np.sort(permuted.length) == pytest.approx(
+        np.sort(build_mst_prim(PointCloud(pts), L2).length), rel=1e-12
     )
 
 

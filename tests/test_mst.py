@@ -227,7 +227,7 @@ def test_energy_minimizer_universality(seed, alpha):
     n = int(rng.integers(2, 8))
     cloud = PointCloud(rng.random((n, 2)))
     kruskal = build_mst_kruskal(cloud, L2)
-    value = float(np.sum(np.sort(kruskal.lengths()) ** alpha))
+    value = float(np.sum(np.sort(kruskal.length) ** alpha))
     _, best = brute_force_min_tree(cloud, L2, alpha)
     assert value == pytest.approx(best, rel=1e-12)
 
