@@ -12,7 +12,7 @@ from .dimension import (
     mst_dimension,
     packing_lower_bound_check,
 )
-from .energy import EnergyReport, count_edges_longer_than, energies, energy
+from .energy import EnergyReport, energies, energy
 from .errors import (
     CheckFailedError,
     EstimationError,
@@ -28,7 +28,6 @@ from .generators import (
     generate_uniform,
 )
 from .lemma_checks import (
-    lemma1_check,
     lemma1_sweep,
     lemma2_check,
     lemma4_check,

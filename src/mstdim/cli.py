@@ -225,7 +225,6 @@ def cmd_dim_mst(args) -> int:
         sizes=_parse_list(args.sizes, int),
         alphas=_parse_list(args.alphas, float),
         seed=args.seed,
-        reps=args.reps,
     )
     print(format_float(estimate.value))
     crossover = estimate.details.get("crossover_alpha")
@@ -378,13 +377,8 @@ def cmd_scale(args) -> int:
     manifest = _manifest("scale", args, seeds[0])
     rows = ["shape,n,alpha,seed,energy,max_edge"]
     measured = {}
-    cell = 0
-    total_cells = len(sizes) * len(seeds)
     for n in sizes:
         for seed in seeds:
-            cell += 1
-            if args.progress:
-                print(f"cell {cell}/{total_cells}", file=sys.stderr)
             cloud = family.generate(n, seed=seed)
             lengths = build_mst_kruskal(cloud, spec).length
             max_edge = float(lengths.max())
@@ -471,7 +465,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--sizes", required=True, help="comma-separated point counts")
     p.add_argument("--alphas", required=True, help="comma-separated exponents")
     p.add_argument("--seed", type=int, required=True)
-    p.add_argument("--reps", type=int, default=3)
     p.add_argument("--metric", default="l2")
     p.add_argument("--out")
     p.add_argument("--csv", help="write the (n, alpha, energy) table")
@@ -492,7 +485,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--metric", default="l2")
     p.add_argument("--out", required=True)
     p.add_argument("--svg", help="optional log-log plot")
-    p.add_argument("--progress", action="store_true", help="plain cell counter on stderr")
     p.set_defaults(func=cmd_scale)
 
     return parser

@@ -6,6 +6,8 @@ Two estimators that theory says must agree:
   then a log-log regression of packing count against inverse scale.
 * ``mst_dimension``: growth-rate regression of tree energies against sample
   size across a generator family, inverted through d = alpha / (1 - slope).
+  Its replicate count, slope band and crossover slope are the constants
+  ``MST_REPLICATES``, ``MST_SLOPE_BAND`` and ``MST_CROSSOVER_SLOPE``.
 
 Both report their fit points and windows so estimates can be re-examined or
 re-fit externally.
@@ -38,6 +40,13 @@ __all__ = [
     "eps_count_csv",
     "energy_table_csv",
 ]
+
+# mst_dimension: replicates per size for random families, the slope band an
+# alpha's slope must fall in to be inverted, and the slope below which
+# energies count as no longer growing.
+MST_REPLICATES = 3
+MST_SLOPE_BAND = (0.15, 0.85)
+MST_CROSSOVER_SLOPE = 0.05
 
 
 @dataclass
@@ -231,18 +240,16 @@ def mst_dimension(
     sizes,
     alphas,
     seed: int = 0,
-    reps: int = 3,
-    slope_band=(0.15, 0.85),
-    crossover_slope: float = 0.05,
 ) -> DimensionEstimate:
     """Energy-growth dimension over a generator family.
 
     For each alpha, fits the slope s(alpha) of log energy against log n.
-    Slopes inside ``slope_band`` are inverted to an implied dimension
+    Slopes inside ``MST_SLOPE_BAND`` are inverted to an implied dimension
     alpha / (1 - s); the estimate is their median. Random families average
-    log energies over ``reps`` replicates (a geometric mean of energies).
-    Also reports the first alpha whose slope falls below ``crossover_slope``,
-    the scale at which energies stop growing, as an independent readout.
+    log energies over ``MST_REPLICATES`` replicates (a geometric mean of
+    energies). Also reports the first alpha whose slope falls below
+    ``MST_CROSSOVER_SLOPE``, the scale at which energies stop growing, as an
+    independent readout.
     """
     sizes = sorted(int(s) for s in sizes)
     alphas = sorted(check_alphas(float(a) for a in alphas))
@@ -256,9 +263,7 @@ def mst_dimension(
         raise InputError(f"sizes must be >= 2 (a tree with edges), got {sizes[0]}")
     if seed < 0:
         raise InputError(f"seed must be >= 0, got {seed}")
-    n_reps = reps if family.is_random else 1
-    if family.is_random and reps < 3:
-        raise InputError("random families need at least 3 replicates")
+    n_reps = MST_REPLICATES if family.is_random else 1
     log_energy = {a: [] for a in alphas}
     for size in sizes:
         per_alpha = {a: [] for a in alphas}
@@ -288,14 +293,14 @@ def mst_dimension(
             "intercept": intercept,
             "series": [[x, y] for x, y in zip(log_n, log_energy[a])],
         }
-    lo, hi = slope_band
+    lo, hi = MST_SLOPE_BAND
     implied = {}
     for a in alphas:
         s = per_alpha_fits[a]["slope"]
         if lo <= s <= hi:
             implied[a] = a / (1.0 - s)
     crossover = next(
-        (a for a in alphas if per_alpha_fits[a]["slope"] < crossover_slope), None
+        (a for a in alphas if per_alpha_fits[a]["slope"] < MST_CROSSOVER_SLOPE), None
     )
     if not implied:
         raise EstimationError(

@@ -28,7 +28,6 @@ __all__ = [
     "energy",
     "energies",
     "check_alphas",
-    "count_edges_longer_than",
 ]
 
 
@@ -43,9 +42,6 @@ class EnergyReport:
     bands: dict = field(default_factory=dict)
     overflow: int = 0
     zero_edges: int = 0
-
-    def band_total(self) -> int:
-        return sum(self.bands.values()) + self.overflow + self.zero_edges
 
     def to_text(self) -> str:
         band_items = ", ".join(
@@ -106,10 +102,3 @@ def energy(tree: SpanningTree, alpha: float) -> EnergyReport:
         overflow=int(np.count_nonzero(nonzero > 1.0)),
         zero_edges=int(lengths.size - nonzero.size),
     )
-
-
-def count_edges_longer_than(tree: SpanningTree, eps: float) -> int:
-    """Number of edges with length strictly greater than eps."""
-    if not eps > 0:
-        raise InputError("eps must be > 0")
-    return int(np.count_nonzero(tree.length > eps))

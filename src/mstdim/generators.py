@@ -145,6 +145,8 @@ class ShapeFamily:
     def __post_init__(self):
         if self.name not in SHAPE_NAMES:
             raise InputError(f"unknown shape {self.name!r}")
+        if self.dim is not None and self.dim < 1:
+            raise InputError(f"dim must be >= 1, got {self.dim}")
 
     @property
     def is_random(self) -> bool:

@@ -4,7 +4,8 @@ Each checker returns a CheckReport with the smallest observed slack rather
 than a bare boolean, so a drifting margin is visible before it ever flips a
 result. The numbered names follow the toolkit's verification catalogue:
 
-* lemma1: midpoint inequality for near-unit vectors,
+* lemma1: midpoint inequality for near-unit vectors, sampled with both
+  norms within 5% of 1,
 * lemma2: disjointness of the balls of radius length/10 around edge midpoints
   of a minimal tree (Euclidean only, midpoints must exist),
 * lemma4: disjointness of the balls of radius eps/3 around the later endpoint
@@ -12,6 +13,9 @@ result. The numbered names follow the toolkit's verification catalogue:
   over the cell grid),
 * theorem1: boundedness of the normalized energy constant across a sweep of
   uniform clouds.
+
+Every inequality is tested with the rounding slack ``TOL``; theorem1's bound
+and trend factor are ``THEOREM1_THRESHOLD`` and ``THEOREM1_TREND_FACTOR``.
 """
 
 from __future__ import annotations
@@ -28,7 +32,6 @@ from .mst import SpanningTree, _closest_distance, build_mst_kruskal
 from .reports import CheckReport
 
 __all__ = [
-    "lemma1_check",
     "lemma1_sweep",
     "lemma2_check",
     "lemma4_check",
@@ -37,51 +40,22 @@ __all__ = [
 ]
 
 SQRT3_OVER_2 = math.sqrt(3.0) / 2.0
+# Absolute slack for rounding in every inequality the lemma checks test.
+TOL = 1e-12
+# theorem1: the bound on the normalized constant, and the most the mean of
+# the last third of sizes may exceed the mean of the first third by.
+THEOREM1_THRESHOLD = 1.0
+THEOREM1_TREND_FACTOR = 1.1
 # lemma2 compares all edge midpoints pairwise in row blocks of about this many
 # coordinate differences (32 MiB of float64), not as one m x m x d array.
 LEMMA2_BLOCK_ELEMENTS = 1 << 22
 
 
-def lemma1_check(w1, w2, tol: float = 1e-12) -> CheckReport:
-    """Midpoint inequality: norms >= 1 and separation <= 1 force the midpoint
-    norm up to at least sqrt(3)/2.
-
-    A counterexample is flagged only when the hypotheses hold (within tol)
-    and the conclusion fails; pairs violating the hypotheses pass vacuously.
-    """
-    w1 = np.asarray(w1, dtype=np.float64).reshape(-1)
-    w2 = np.asarray(w2, dtype=np.float64).reshape(-1)
-    if w1.shape != w2.shape:
-        raise InputError("vectors must have equal dimension")
-    n1 = float(np.linalg.norm(w1))
-    n2 = float(np.linalg.norm(w2))
-    sep = float(np.linalg.norm(w1 - w2))
-    mid = float(np.linalg.norm((w1 + w2) / 2.0))
-    hypotheses = n1 >= 1.0 - tol and n2 >= 1.0 - tol and sep <= 1.0 + tol
-    conclusion = mid >= SQRT3_OVER_2 - tol
-    counterexample = hypotheses and not conclusion
-    return CheckReport(
-        name="lemma1",
-        parameters={"dim": int(w1.shape[0]), "tol": tol},
-        passed=not counterexample,
-        min_slack=mid - SQRT3_OVER_2,
-        details={
-            "norm_w1": n1,
-            "norm_w2": n2,
-            "separation": sep,
-            "midpoint_norm": mid,
-            "hypotheses_hold": hypotheses,
-            "conclusion_holds": conclusion,
-        },
-    )
-
-
-def lemma1_sweep(
-    trials: int, d: int, seed: int, near_boundary: bool = True
-) -> CheckReport:
-    """Rejection-sample hypothesis-satisfying pairs and hunt for midpoint
-    counterexamples. ``near_boundary`` keeps both norms within 5% of 1, where
-    the inequality is tightest."""
+def lemma1_sweep(trials: int, d: int, seed: int) -> CheckReport:
+    """Midpoint inequality for near-unit vectors: norms >= 1 and separation
+    <= 1 force the midpoint norm up to at least sqrt(3)/2. Rejection-samples
+    pairs that satisfy the hypotheses, with both norms within 5% of 1 where
+    the inequality is tightest, and counts midpoint counterexamples."""
     if trials < 1:
         raise InputError("trials must be >= 1")
     if d < 1:
@@ -89,7 +63,7 @@ def lemma1_sweep(
     if seed < 0:
         raise InputError(f"seed must be >= 0, got {seed}")
     rng = np.random.default_rng(seed)
-    norm_hi = 1.05 if near_boundary else 3.0
+    norm_hi = 1.05
     accepted = 0
     counterexamples = 0
     min_slack = math.inf
@@ -116,18 +90,18 @@ def lemma1_sweep(
         mids = np.linalg.norm((w1 + w2) / 2.0, axis=1)
         slack = mids - SQRT3_OVER_2
         min_slack = min(min_slack, float(slack.min()))
-        counterexamples += int(np.count_nonzero(mids < SQRT3_OVER_2 - 1e-12))
+        counterexamples += int(np.count_nonzero(mids < SQRT3_OVER_2 - TOL))
         accepted += take
     return CheckReport(
         name="lemma1-sweep",
         parameters={"trials": trials, "dim": d, "seed": seed},
         passed=counterexamples == 0,
         min_slack=min_slack,
-        details={"counterexamples": counterexamples, "near_boundary": near_boundary},
+        details={"counterexamples": counterexamples},
     )
 
 
-def lemma2_check(cloud: PointCloud, tree: SpanningTree, tol: float = 1e-12) -> CheckReport:
+def lemma2_check(cloud: PointCloud, tree: SpanningTree) -> CheckReport:
     """Midpoint-ball disjointness on a Euclidean minimal tree: for every edge
     pair the midpoints must be at least (len_e + len_f)/10 apart.
 
@@ -156,19 +130,15 @@ def lemma2_check(cloud: PointCloud, tree: SpanningTree, tol: float = 1e-12) -> C
                 worst_pair = [r0 + i, r0 + 1 + c]
     return CheckReport(
         name="lemma2",
-        parameters={"n": cloud.n, "edges": m, "tol": tol},
-        passed=min_slack is None or bool(min_slack >= -tol),
+        parameters={"n": cloud.n, "edges": m, "tol": TOL},
+        passed=min_slack is None or bool(min_slack >= -TOL),
         min_slack=min_slack,
         details={"worst_pair": worst_pair},
     )
 
 
 def lemma4_check(
-    cloud: PointCloud,
-    spec: DistanceSpec,
-    tree: SpanningTree,
-    eps: float,
-    tol: float = 1e-12,
+    cloud: PointCloud, spec: DistanceSpec, tree: SpanningTree, eps: float
 ) -> CheckReport:
     """Separation of the later endpoints of long edges in a greedily grown
     tree: for every edge longer than eps, take the endpoint that entered the
@@ -203,7 +173,7 @@ def lemma4_check(
             "weak_triangle_const": c_w,
             "n": cloud.n,
         },
-        passed=min_dist is None or bool(min_dist >= threshold - tol),
+        passed=min_dist is None or bool(min_dist >= threshold - TOL),
         min_slack=None if min_dist is None else min_dist - threshold,
         details={"long_edges": len(chosen), "min_center_distance": min_dist},
     )
@@ -218,20 +188,13 @@ def normalized_constant(energy_value: float, n: int, d: int, alpha: float) -> fl
     return (energy_value / n**exponent) ** (1.0 / alpha) / math.sqrt(d)
 
 
-def theorem1_check(
-    d: int,
-    alphas,
-    sizes,
-    seeds,
-    threshold: float = 1.0,
-    trend_factor: float = 1.1,
-) -> CheckReport:
+def theorem1_check(d: int, alphas, sizes, seeds) -> CheckReport:
     """Sweep uniform clouds and test that the normalized energy constant stays
-    bounded and does not drift upward with n.
+    at most ``THEOREM1_THRESHOLD`` and does not drift upward with n.
 
     For each size the constant is averaged over seeds; per alpha, the mean of
     the last third of sizes must not exceed the mean of the first third by
-    more than ``trend_factor``.
+    more than the factor ``THEOREM1_TREND_FACTOR``.
     """
     sizes = sorted(int(s) for s in sizes)
     alphas = check_alphas(float(a) for a in alphas)
@@ -254,10 +217,10 @@ def theorem1_check(
         max_c = max(max_c, max(float(np.max(table[a][n])) for n in sizes))
         first = float(np.mean(means[:third]))
         last = float(np.mean(means[-third:]))
-        ok = last <= first * trend_factor
+        ok = last <= first * THEOREM1_TREND_FACTOR
         trends[a] = {"first_third": first, "last_third": last, "ok": ok, "means": means}
         all_ok = all_ok and ok
-    passed = all_ok and max_c <= threshold
+    passed = all_ok and max_c <= THEOREM1_THRESHOLD
     return CheckReport(
         name="theorem1",
         parameters={
@@ -265,11 +228,11 @@ def theorem1_check(
             "alphas": alphas,
             "sizes": sizes,
             "seeds": seeds,
-            "threshold": threshold,
-            "trend_factor": trend_factor,
+            "threshold": THEOREM1_THRESHOLD,
+            "trend_factor": THEOREM1_TREND_FACTOR,
         },
         passed=bool(passed),
-        min_slack=threshold - max_c,
+        min_slack=THEOREM1_THRESHOLD - max_c,
         details={
             "max_constant": max_c,
             "trends": {str(a): trends[a] for a in alphas},

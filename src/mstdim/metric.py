@@ -440,23 +440,26 @@ def read_cloud(path) -> PointCloud:
     """
     rows = []
     dim = None
-    with open(path) as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.strip()
-            if not line:
-                continue
-            parts = line.split(",")
-            try:
-                row = [float(part) for part in parts]
-            except ValueError:
-                raise InputError(f"{path}:{lineno}: malformed coordinate in {line!r}")
-            if dim is None:
-                dim = len(row)
-            elif len(row) != dim:
-                raise InputError(
-                    f"{path}:{lineno}: expected {dim} coordinates, got {len(row)}"
-                )
-            rows.append(row)
+    with open(path, encoding="utf-8") as fh:
+        try:
+            for lineno, raw in enumerate(fh, start=1):
+                line = raw.strip()
+                if not line:
+                    continue
+                parts = line.split(",")
+                try:
+                    row = [float(part) for part in parts]
+                except ValueError:
+                    raise InputError(f"{path}:{lineno}: malformed coordinate in {line!r}")
+                if dim is None:
+                    dim = len(row)
+                elif len(row) != dim:
+                    raise InputError(
+                        f"{path}:{lineno}: expected {dim} coordinates, got {len(row)}"
+                    )
+                rows.append(row)
+        except UnicodeDecodeError:
+            raise InputError(f"{path}: not UTF-8 text") from None
     if not rows:
         raise InputError(f"{path}: no points found")
     return PointCloud(np.array(rows, dtype=np.float64))

@@ -24,9 +24,10 @@ measured with ``DistanceSpec.pairs``. Borůvka merges over them, in
 canonical order, give exactly the tree edges of length <= r. The first r is
 the median distance from 16 sampled points to their 8th nearest distinct
 point; each later round grows r (at most doubling, at most 32 pairs per
-point) and takes only the pairs that join two components. When another
-round would cost more, Prim grows the largest component over the rest, with
-distance rows between tree and outside points only.
+point) and takes only the pairs that join two components. Once the rest
+would cost Prim at most 8 distance evaluations per pair the last round
+enumerated, Prim grows the largest component over the rest, with distance
+rows between tree and outside points only.
 
 What it costs. On clouds of bounded local density in up to 3 dimensions
 (the grid keys at most 3 coordinates) O(n) distance evaluations, and array
@@ -74,7 +75,8 @@ _ROUND_PAIRS = 32
 _WASTE_PAIRS = 32
 # A distance row evaluates a pair several times faster than a round
 # enumerates one: the forest goes to Prim once that needs at most this many
-# row evaluations per pair the next round would enumerate.
+# row evaluations per pair the last round enumerated. The test comes before
+# the next round's grid is built, which a forest sent to Prim never reads.
 _PRIM_PAIRS = 8
 # Radius factors tried, in turn, for the next round: the first that keeps the
 # round within _ROUND_PAIRS is taken.
@@ -308,9 +310,12 @@ class _Outside:
         return int(ties[np.lexsort((np.maximum(u, v), np.minimum(u, v)))[0]])
 
 
+@np.errstate(over="ignore")  # a length that overflows is refused at the end
 def _canonical_tree(pts, spec):
     """The minimal spanning tree under (length, min index, max index), as
-    arrays (u, v, length) with u < v, sorted in that order."""
+    arrays (u, v, length) with u < v, sorted in that order. A length that is
+    not finite (a distance that overflows) raises ``InputError``, as reading
+    it from a tree record would."""
     n = len(pts)
     label = np.arange(n, dtype=np.int32)  # the root point of each component
     found = [_NO_EDGES]  # tree edges, rounds in increasing radius
@@ -346,6 +351,8 @@ def _canonical_tree(pts, spec):
         if need == 0 or not 0.0 < radius < math.inf:
             break
         outside = n - int(np.bincount(label).max())
+        if outside * n <= _PRIM_PAIRS * cells.total:
+            break  # growing the largest component by Prim costs less
         # a factor whose pair count, scaled from this round's, is over the
         # limit gets no grid; the last one always does
         count, axes = cells.total, cells.axes
@@ -356,13 +363,13 @@ def _canonical_tree(pts, spec):
             if cells.total <= limit:
                 break
         radius *= growth
-        if outside * n <= _PRIM_PAIRS * cells.total:
-            break  # growing the largest component by Prim costs less
     del cells  # the Prim stage needs no ranges
     if need:
         found.append(_finish(pts, spec, label))
     u, v, length = (np.concatenate(p) for p in zip(*found))
     order = np.lexsort((v, u, length))
+    if not math.isfinite(length[order[-1]]):
+        raise InputError(f"a tree edge length overflows to {length[order[-1]]}")
     return u[order], v[order], length[order]
 
 
@@ -446,49 +453,32 @@ def build_mst_kruskal(cloud: PointCloud, spec: DistanceSpec) -> SpanningTree:
     return SpanningTree(cloud.n, "kruskal", _canonical_tree(cloud.points, spec))
 
 
-def _prufer_decode(seq, n):
-    """Edge list of the labeled tree encoded by a Prufer sequence."""
-    degree = [1] * n
-    for x in seq:
-        degree[x] += 1
-    edges = []
-    for x in seq:
-        leaf = min(i for i in range(n) if degree[i] == 1)
-        edges.append((leaf, x))
-        degree[leaf] = 0
-        degree[x] -= 1
-    u, v = (i for i in range(n) if degree[i] == 1)
-    edges.append((u, v))
-    return edges
+def _prufer_edges(seqs, n):
+    """Decode the Prufer sequences in the rows of ``seqs`` side by side:
+    yields, for each of the n - 1 steps, the columns (leaf, x) of the edge
+    it adds in every row. A step joins the least leaf to the next entry x
+    and drops the leaf; the last joins the two vertices left, one of them
+    n - 1, which is never the least of two or more leaves."""
+    rows, cols = np.arange(len(seqs)), np.arange(n)
+    degree = np.ones((len(seqs), n), dtype=np.int64)
+    for x in seqs.T:
+        np.add.at(degree, (rows, x), 1)
+    for x in seqs.T:
+        leaf = np.argmin(np.where(degree == 1, cols, n), axis=1)
+        yield leaf, x
+        degree[rows, leaf] = 0
+        degree[rows, x] -= 1
+    yield np.argmin(np.where(degree == 1, cols, n), axis=1), np.full(len(seqs), n - 1)
 
 
 def _all_tree_energies(weights: np.ndarray):
     """Energy of every labeled spanning tree, trees indexed by Prufer sequence
     in lexicographic order. Vectorized across all n^(n-2) sequences."""
     n = weights.shape[0]
-    if n == 2:
-        return np.array([weights[0, 1]]), np.zeros((1, 0), dtype=np.int64)
     seqs = np.array(list(itertools.product(range(n), repeat=n - 2)), dtype=np.int64)
-    count = len(seqs)
-    rows = np.arange(count)
-    cols = np.arange(n)
-    degree = np.ones((count, n), dtype=np.int64)
-    for j in range(n - 2):
-        np.add.at(degree, (rows, seqs[:, j]), 1)
-    energy = np.zeros(count)
-    for j in range(n - 2):
-        x = seqs[:, j]
-        candidates = np.where(degree == 1, cols, n + 1)
-        leaf = np.argmin(candidates, axis=1)
+    energy = np.zeros(len(seqs))
+    for leaf, x in _prufer_edges(seqs, n):
         energy += weights[leaf, x]
-        degree[rows, leaf] = 0
-        degree[rows, x] -= 1
-    candidates = np.where(degree == 1, cols, n + 1)
-    u = np.argmin(candidates, axis=1)
-    degree[rows, u] = 0
-    candidates = np.where(degree == 1, cols, n + 1)
-    v = np.argmin(candidates, axis=1)
-    energy += weights[u, v]
     return energy, seqs
 
 
@@ -511,8 +501,7 @@ def brute_force_min_tree(cloud: PointCloud, spec: DistanceSpec, alpha: float):
     np.fill_diagonal(weights, 0.0)
     energies, seqs = _all_tree_energies(weights)
     best = int(np.argmin(energies))
-    edge_pairs = _prufer_decode([int(x) for x in seqs[best]], n)
-    u, v = np.array(edge_pairs).T
+    u, v = (np.concatenate(c) for c in zip(*_prufer_edges(seqs[best : best + 1], n)))
     tree = SpanningTree(n, "brute-force", (u, v, dist[u, v]))
     return tree, float(energies[best])
 
@@ -543,12 +532,18 @@ def tree_to_text(tree: SpanningTree) -> str:
 
 def _number_array(value):
     """``value`` as a float64 array, or None unless it is a rectangular nest of
-    JSON numbers (strings and integers beyond 64 bits are refused)."""
+    JSON numbers (strings, booleans and integers beyond 64 bits are refused)."""
     try:
         arr = np.array(value)
     except (ValueError, TypeError):
         return None
-    return arr.astype(np.float64) if arr.dtype.kind in "biuf" else None
+    if arr.dtype.kind not in "iuf":
+        return None
+    # numpy reads booleans mixed with numbers as numbers: look in the nest
+    items = [value]
+    for _ in range(arr.ndim):
+        items = itertools.chain.from_iterable(items)
+    return None if bool in map(type, items) else arr.astype(np.float64)
 
 
 def tree_from_text(text: str) -> SpanningTree:
@@ -611,5 +606,9 @@ def write_tree(tree: SpanningTree, path) -> None:
 
 
 def read_tree(path) -> SpanningTree:
-    with open(path) as fh:
-        return tree_from_text(fh.read())
+    with open(path, encoding="utf-8") as fh:
+        try:
+            text = fh.read()
+        except UnicodeDecodeError:
+            raise InputError(f"{path}: not UTF-8 text") from None
+    return tree_from_text(text)

@@ -176,13 +176,15 @@ def test_energy_prints_unit_square_value(tmp_path, capsys):
          "insertion_rank": [0, 1, 2]},  # edge 0 adds the vertex of rank 2
         {"n": 2, "builder": "prim", "edges": [[0, 10**400, 1]]},
         {"n": 2, "builder": "prim", "edges": [[0, "1.0", 1]]},
+        {"n": 2, "builder": "x", "edges": [[True, False, True]]},
+        {"n": 2, "builder": "x", "edges": [[0, 1, 1.0]], "insertion_rank": [False, True]},
         {"n": 0, "builder": "prim", "edges": []},
         [0, 1, 0.5],
     ],
     ids=["short-edge", "index-range", "negative", "nan", "self-loop", "cycle",
          "edge-count", "non-integer", "ranks", "scalar-ranks", "rank-order",
-         "rank-edge-order", "huge-index", "string-index", "empty",
-         "not-object"],
+         "rank-edge-order", "huge-index", "string-index", "boolean-edge",
+         "boolean-ranks", "empty", "not-object"],
 )
 def test_energy_rejects_invalid_tree(tmp_path, capsys, record):
     tree_path = tmp_path / "bad.json"
@@ -409,6 +411,12 @@ _DIM_BOX = ["dim-box", "--in", "{dir}/sq.csv", "--out", "{dir}/b.json"]
          "--seed", "-1"],
         ["scale", "--shape", "uniform-cube", "--sizes", "16", "--alphas", "1", "--seeds", "-3",
          "--out", "{dir}/s.csv"],
+        ["dim-mst", "--shape", "grid", "--dim", "0", "--sizes", "4,9,16", "--alphas", "1",
+         "--seed", "0"],
+        _SCALE[:2] + ["grid", "--dim", "0"] + _SCALE[3:] + ["--sizes", "4,9", "--alphas", "1"],
+        ["mst", "--in", "{dir}/bytes.bin", "--out", "{dir}/t.json"],
+        ["dim-box", "--in", "{dir}/bytes.bin"],
+        ["energy", "--tree", "{dir}/bytes.bin", "--alpha", "1"],
     ],
     ids=["energy-nan", "energy-inf", "scale-alpha-nonpositive", "dim-mst-nan",
          "scale-size-1", "scale-no-sizes", "dim-mst-no-alphas", "verify-lemma2-trials-negative",
@@ -417,11 +425,14 @@ _DIM_BOX = ["dim-box", "--in", "{dir}/sq.csv", "--out", "{dir}/b.json"]
          "dim-box-anchor-nan", "dim-box-anchor-inf", "dim-box-no-scales",
          "generate-size-and-depth", "dim-mst-cantor-dim-2", "scale-interval-dim-3",
          "dim-mst-size-negative", "dim-mst-size-1", "generate-seed-negative",
-         "verify-seed-negative", "dim-mst-seed-negative", "scale-seed-negative"],
+         "verify-seed-negative", "dim-mst-seed-negative", "scale-seed-negative",
+         "dim-mst-dim-0", "scale-dim-0", "mst-not-utf8", "dim-box-not-utf8",
+         "energy-not-utf8"],
 )
 def test_invalid_numeric_arguments_exit_2(tmp_path, capsys, argv):
     cloud, tree = tmp_path / "sq.csv", tmp_path / "sq.json"
     write_cloud(PointCloud([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0]]), cloud)
+    (tmp_path / "bytes.bin").write_bytes(b"\xff\xfe")
     assert run(capsys, "mst", "--in", str(cloud), "--out", str(tree))[0] == 0
     before = set(tmp_path.iterdir())
     code, stdout, err = run(capsys, *[a.format(tree=tree, dir=tmp_path) for a in argv])
@@ -456,6 +467,19 @@ def test_mst_rejects_overflowing_coordinate_span(tmp_path, capsys):
     cloud = tmp_path / "far.csv"
     cloud.write_text("1e308,0\n-1e308,0\n")
     code, stdout, err = run(capsys, "mst", "--in", str(cloud), "--out", str(tmp_path / "t.json"))
+    assert code == 2
+    assert stdout == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert not (tmp_path / "t.json").exists()
+
+
+@pytest.mark.parametrize("algo", ["prim", "kruskal"])
+def test_mst_rejects_overflowing_length(tmp_path, capsys, algo):
+    # 2 ** 1e308 overflows: a record holding the inf would be refused on reading
+    cloud = tmp_path / "two.csv"
+    cloud.write_text("0,0\n2,0\n")
+    code, stdout, err = run(capsys, "mst", "--in", str(cloud), "--metric", "powerquasi:1e308",
+                            "--algo", algo, "--out", str(tmp_path / "t.json"))
     assert code == 2
     assert stdout == ""
     assert err.startswith("error: ") and err.count("\n") == 1

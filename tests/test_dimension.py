@@ -19,7 +19,6 @@ from mstdim.errors import EstimationError, InputError, InsufficientScalesError
 from mstdim.generators import ShapeFamily, builtin_shape, generate_grid
 from mstdim.metric import DistanceSpec, Lp, PointCloud, PowerQuasi, Snowflake
 from mstdim.mst import build_mst_prim
-from mstdim.energy import count_edges_longer_than
 
 L2 = Lp(2.0)
 
@@ -289,7 +288,6 @@ def test_mst_dim_uniform_with_replicates():
         sizes=[256, 512, 1024, 2048],
         alphas=[0.6, 1.0, 1.4],
         seed=11,
-        reps=3,
     )
     assert abs(est.value - 2.0) <= 0.25
     assert est.details["replicates"] == 3
@@ -325,15 +323,6 @@ def test_mst_dim_validation():
     for bad in (-1.0, math.nan, math.inf):
         with pytest.raises(InputError):
             mst_dimension(fam, L2, sizes=[64, 128, 256], alphas=[bad, 1.0], seed=0)
-    with pytest.raises(InputError):
-        mst_dimension(
-            ShapeFamily("uniform-cube", dim=2),
-            L2,
-            sizes=[64, 128, 256],
-            alphas=[0.5],
-            seed=0,
-            reps=1,
-        )
 
 
 # ------------------------------------------------- packing lower bound check
@@ -385,7 +374,7 @@ def test_long_edge_count_under_volume_bound(d):
     tree = build_mst_prim(cloud, L2)
     for k in range(1, 9):
         eps = 2.0**-k
-        assert count_edges_longer_than(tree, eps) <= _long_edge_volume_bound(d, eps)
+        assert np.count_nonzero(tree.length > eps) <= _long_edge_volume_bound(d, eps)
 
 
 # ----------------------------------------------------------------- exports

@@ -11,7 +11,6 @@ from mstdim.dimension import mst_dimension, packing_lower_bound_check
 from mstdim.energy import (
     EnergyReport,
     check_alphas,
-    count_edges_longer_than,
     energies,
     energy,
 )
@@ -147,7 +146,7 @@ def test_zero_edges_tracked_separately():
     assert report.zero_edges == 2
     assert report.overflow == 1
     assert report.bands == {1: 1}
-    assert report.band_total() == report.n - 1
+    assert sum(report.bands.values()) + report.overflow + report.zero_edges == report.n - 1
     assert report.value == pytest.approx(2.5, rel=1e-15)
 
 
@@ -157,16 +156,7 @@ def test_empty_tree_energy():
     assert report.value == 0.0 and report.max_edge == 0.0
 
 
-# ----------------------------------------------------- count_edges_longer
-
-
-def test_count_longer_strict():
-    tree = make_tree([1.0, 1.0, 2.0])
-    assert count_edges_longer_than(tree, 1.0) == 1
-    assert count_edges_longer_than(tree, 0.5) == 3
-    for eps in (0.0, math.nan):
-        with pytest.raises(InputError):
-            count_edges_longer_than(tree, eps)
+# ------------------------------------------------------------- long edges
 
 
 def test_cantor_gap_census():
@@ -179,7 +169,7 @@ def test_cantor_gap_census():
     assert expected == 7
 
     tree = build_mst_prim(cloud, L2)
-    assert count_edges_longer_than(tree, 3.0**-3) == 7
+    assert np.count_nonzero(tree.length > 3.0**-3) == 7
 
 
 # -------------------------------------------------------------- invariants
@@ -194,7 +184,7 @@ def test_value_matches_direct_sum(seed, n):
         report = energy(tree, alpha)
         direct = sum(e[2] ** alpha for e in tree.edges)
         assert report.value == pytest.approx(direct, rel=1e-12)
-        assert report.band_total() == n - 1
+        assert sum(report.bands.values()) + report.overflow + report.zero_edges == n - 1
 
 
 @settings(deadline=None, max_examples=25)

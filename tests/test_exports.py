@@ -1,3 +1,4 @@
+import argparse
 import ast
 import importlib
 import pkgutil
@@ -5,6 +6,9 @@ import re
 from pathlib import Path
 
 import mstdim
+from mstdim import cli
+
+README = Path(__file__).resolve().parents[1] / "README.md"
 
 
 def _exported(module):
@@ -37,8 +41,22 @@ def test_package_imports_only_exported_names():
 
 
 def test_readme_python_blocks_run():
-    readme = Path(__file__).resolve().parents[1] / "README.md"
-    blocks = re.findall(r"```python\n(.*?)```", readme.read_text(), re.S)
+    blocks = re.findall(r"```python\n(.*?)```", README.read_text(), re.S)
     assert blocks
     for block in blocks:
-        exec(compile(block, str(readme), "exec"), {})
+        exec(compile(block, str(README), "exec"), {})
+
+
+def test_readme_cli_section_names_every_flag():
+    # both ways: a new flag joins the docs, and a removed one leaves them
+    section = re.search(r"^## CLI\n(.*?)^## ", README.read_text(), re.S | re.M)[1]
+    parser = cli.build_parser()
+    (commands,) = (a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    flags = {
+        flag
+        for sub in (parser, *commands.choices.values())
+        for action in sub._actions
+        for flag in action.option_strings
+        if flag.startswith("--") and flag != "--help"
+    }
+    assert set(re.findall(r"--[a-z][a-z-]*[a-z]", section)) == flags

@@ -8,8 +8,6 @@ from mstdim import lemma_checks
 from mstdim.errors import InputError
 from mstdim.generators import builtin_shape, generate_grid, generate_uniform
 from mstdim.lemma_checks import (
-    SQRT3_OVER_2,
-    lemma1_check,
     lemma1_sweep,
     lemma2_check,
     lemma4_check,
@@ -24,32 +22,6 @@ L2 = Lp(2.0)
 
 
 # ------------------------------------------------------------------- lemma1
-
-
-def test_lemma1_equilateral_boundary():
-    report = lemma1_check((1.0, 0.0), (0.5, math.sqrt(3.0) / 2.0))
-    assert report.passed
-    assert report.details["hypotheses_hold"]
-    assert report.details["conclusion_holds"]
-    assert abs(report.min_slack) <= 1e-12  # midpoint norm exactly sqrt(3)/2
-
-
-def test_lemma1_identical_vectors():
-    report = lemma1_check((1.0, 0.0), (1.0, 0.0))
-    assert report.passed
-    assert report.details["midpoint_norm"] == 1.0
-    assert report.min_slack == pytest.approx(1.0 - SQRT3_OVER_2, rel=1e-12)
-
-
-def test_lemma1_hypotheses_fail_is_vacuous_pass():
-    report = lemma1_check((0.1, 0.0), (0.0, 0.1))
-    assert report.passed
-    assert not report.details["hypotheses_hold"]
-
-
-def test_lemma1_dimension_mismatch():
-    with pytest.raises(InputError):
-        lemma1_check((1.0, 0.0), (1.0, 0.0, 0.0))
 
 
 @pytest.mark.parametrize("d", [2, 3, 5])

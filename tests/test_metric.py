@@ -1,5 +1,6 @@
 import itertools
 import math
+import re
 
 import numpy as np
 import pytest
@@ -286,6 +287,53 @@ def test_cloud_read_reports_line_numbers(tmp_path):
         read_cloud(path)
 
 
+def _reference_cloud(data: bytes):
+    """The points a line-by-line float() reading of the cloud format gives,
+    or None where the bytes must be refused."""
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError:
+        return None
+    rows = []
+    for line in text.replace("\r\n", "\n").replace("\r", "\n").split("\n"):
+        if line.isspace() or not line:
+            continue
+        try:
+            rows.append([float(part) for part in line.split(",")])
+        except ValueError:
+            return None
+    if not rows or len({len(row) for row in rows}) != 1:
+        return None
+    pts = np.array(rows)
+    with np.errstate(over="ignore"):
+        if not (np.isfinite(pts).all() and np.isfinite(pts.max(0) - pts.min(0)).all()):
+            return None
+    return pts
+
+
+_COORDINATE = st.one_of(
+    st.floats().map(repr),
+    st.text(alphabet=" \t0123456789.eE+-_naifINF", max_size=8),
+)
+_CLOUD_TEXT = st.lists(
+    st.lists(_COORDINATE, min_size=1, max_size=3).map(",".join), max_size=5
+).map("\n".join)
+
+
+@settings(deadline=None, max_examples=150)
+@given(data=st.one_of(st.binary(max_size=40), _CLOUD_TEXT.map(str.encode)))
+def test_read_cloud_fuzz(tmp_path_factory, data):
+    path = tmp_path_factory.getbasetemp() / "fuzz.csv"
+    path.write_bytes(data)
+    expected = _reference_cloud(data)
+    if expected is None:
+        with pytest.raises(InputError):
+            read_cloud(path)
+    else:
+        points = read_cloud(path).points
+        assert points.shape == expected.shape and points.tobytes() == expected.tobytes()
+
+
 # ------------------------------------------------------------ spec parsing
 
 
@@ -299,6 +347,46 @@ def test_spec_from_string():
         spec_from_string("linf")
     with pytest.raises(InputError):
         spec_from_string("snowflake:abc")
+
+
+def _reference_spec(text: str):
+    """The spec the metric notation names, or None where it must be refused."""
+    text = text.strip().lower()
+    if text in ("l1", "l2"):
+        return Lp(float(text[1]))
+    match = re.fullmatch(r"(lp|snowflake|powerquasi):(.*)", text, re.S)
+    if match is None:
+        return None
+    try:
+        value = float(match[2])
+    except ValueError:
+        return None
+    if match[1] == "snowflake":
+        return Power(L2, value) if 0.0 < value <= 1.0 else None
+    if not (math.isfinite(value) and value >= 1.0):
+        return None
+    return Lp(value) if match[1] == "lp" else Power(L2, value)
+
+
+@settings(deadline=None, max_examples=300)
+@given(
+    text=st.one_of(
+        st.text(max_size=16),
+        st.sampled_from(["l1", " L2\n", "l3", "linf", "lp", "snowflake:"]),
+        st.tuples(
+            st.sampled_from([" lp", "LP", "snowflake", "powerquasi", "pq"]),
+            st.sampled_from([":", "::", " :"]),
+            st.one_of(st.floats(0.0, 4.0).map(repr), st.floats().map(repr), st.text(max_size=6)),
+        ).map("".join),
+    )
+)
+def test_spec_from_string_fuzz(text):
+    expected = _reference_spec(text)
+    if expected is None:
+        with pytest.raises(InputError):
+            spec_from_string(text)
+    else:
+        assert spec_from_string(text) == expected
 
 
 # ------------------------------------------------------- coordinate bounds

@@ -13,7 +13,7 @@ from mstdim.mst import (
     SpanningTree,
     _CellPairs,
     _join,
-    _prufer_decode,
+    _prufer_edges,
     brute_force_min_tree,
     build_mst_kruskal,
     build_mst_prim,
@@ -200,12 +200,12 @@ def test_brute_force_rejects_bad_alpha(alpha):
 def test_prufer_bijection_counts():
     # n^(n-2) sequences decode to pairwise-distinct labeled trees
     for n in (3, 4, 5):
-        seen = set()
-        for seq in itertools.product(range(n), repeat=n - 2):
-            edges = frozenset(
-                frozenset(e) for e in _prufer_decode(list(seq), n)
-            )
-            seen.add(edges)
+        seqs = np.array(list(itertools.product(range(n), repeat=n - 2)))
+        steps = list(_prufer_edges(seqs, n))
+        seen = {
+            frozenset(frozenset((int(leaf[r]), int(x[r]))) for leaf, x in steps)
+            for r in range(len(seqs))
+        }
         assert len(seen) == n ** (n - 2)
 
 
