@@ -14,23 +14,21 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
-import math
 import sys
 import time
 from dataclasses import dataclass, field
 
-import numpy as np
-
 from . import __version__
 from .dimension import (
     WindowPolicy,
+    _energy_sweep,
+    _growth_fits,
     box_dimension,
     energy_table_csv,
     eps_count_csv,
-    least_squares_line,
     mst_dimension,
 )
-from .energy import check_alphas, energies, energy
+from .energy import energy
 from .errors import CheckFailedError, InputError, ToolkitError
 from .generators import SHAPE_NAMES, ShapeFamily, builtin_shape, generate_uniform
 from .lemma_checks import (
@@ -318,10 +316,11 @@ def cmd_verify(args) -> int:
 
 
 def _svg_loglog(series, title) -> str:
-    """Hand-rolled scatter + fitted-line plot on log-log axes, as SVG text."""
+    """Scatter + fitted-line plot on log-log axes, as SVG text, of (label,
+    ``_growth_fits`` entry) pairs; an entry without a slope gets no line."""
     width, height, margin = 640, 480, 60
-    xs_all = [x for _, pts, _ in series for x, _ in pts]
-    ys_all = [y for _, pts, _ in series for _, y in pts]
+    xs_all = [x for _, fit in series for x, _ in fit["series"]]
+    ys_all = [y for _, fit in series for _, y in fit["series"]]
     x_lo, x_hi = min(xs_all), max(xs_all)
     y_lo, y_hi = min(ys_all), max(ys_all)
     if x_hi == x_lo:
@@ -345,14 +344,14 @@ def _svg_loglog(series, title) -> str:
         f'<text x="{width/2:.1f}" y="{height-16}" text-anchor="middle" font-size="12">log n</text>',
         f'<text x="18" y="{height/2:.1f}" font-size="12" transform="rotate(-90 18 {height/2:.1f})" text-anchor="middle">log energy</text>',
     ]
-    for idx, (label, pts, fit) in enumerate(series):
+    for idx, (label, fit) in enumerate(series):
         color = palette[idx % len(palette)]
-        for x, y in pts:
+        for x, y in fit["series"]:
             parts.append(
                 f'<circle cx="{sx(x):.2f}" cy="{sy(y):.2f}" r="3" fill="{color}"/>'
             )
-        if fit is not None:
-            slope, intercept = fit
+        if fit["slope"] is not None:
+            slope, intercept = fit["slope"], fit["intercept"]
             parts.append(
                 f'<line x1="{sx(x_lo):.2f}" y1="{sy(slope*x_lo+intercept):.2f}" '
                 f'x2="{sx(x_hi):.2f}" y2="{sy(slope*x_hi+intercept):.2f}" '
@@ -370,41 +369,23 @@ def cmd_scale(args) -> int:
     spec = spec_from_string(args.metric)
     family = ShapeFamily(args.shape, args.dim)
     sizes = _parse_list(args.sizes, int)
-    alphas = check_alphas(_parse_list(args.alphas, float))
+    alphas = _parse_list(args.alphas, float)
     seeds = _parse_list(args.seeds, int)
-    if min(sizes) < 2:
-        raise InputError(f"scale needs sizes >= 2 (a tree with edges), got {min(sizes)}")
     manifest = _manifest("scale", args, seeds[0])
+    table, longest = _energy_sweep(family, spec, sizes, alphas, [seeds] * len(sizes))
+    fits = _growth_fits(sizes, alphas, table) if args.svg else None
     rows = ["shape,n,alpha,seed,energy,max_edge"]
-    measured = {}
-    for n in sizes:
-        for seed in seeds:
-            cloud = family.generate(n, seed=seed)
-            lengths = build_mst_kruskal(cloud, spec).length
-            max_edge = float(lengths.max())
-            for alpha, value in zip(alphas, energies(lengths, alphas)):
+    for n, per_seed, per_seed_longest in zip(sizes, table.tolist(), longest.tolist()):
+        for seed, values, max_edge in zip(seeds, per_seed, per_seed_longest):
+            for alpha, value in zip(alphas, values):
                 rows.append(
                     f"{args.shape},{n},{format_float(alpha)},{seed},"
                     f"{format_float(value)},{format_float(max_edge)}"
                 )
-                measured.setdefault(alpha, {}).setdefault(n, []).append(value)
     _write_output(manifest, args.out, "\n".join(rows) + "\n")
     print(f"wrote {len(rows) - 1} measurements to {args.out}")
     if args.svg:
-        series = []
-        for alpha in alphas:
-            pts = []
-            for n in sizes:
-                values = measured[alpha][n]
-                geo = float(np.exp(np.mean(np.log(values))))
-                pts.append((math.log(n), math.log(geo)))
-            fit = None
-            if len(pts) >= 2:
-                slope, intercept, _ = least_squares_line(
-                    [p[0] for p in pts], [p[1] for p in pts]
-                )
-                fit = (slope, intercept)
-            series.append((f"alpha={alpha:g}", pts, fit))
+        series = [(f"alpha={alpha:g}", fit) for alpha, fit in zip(alphas, fits)]
         _write_output(manifest, args.svg, _svg_loglog(series, f"{args.shape}: energy growth"))
         print(f"wrote plot to {args.svg}")
     return 0

@@ -9,6 +9,10 @@ Two estimators that theory says must agree:
   Its replicate count, slope band and crossover slope are the constants
   ``MST_REPLICATES``, ``MST_SLOPE_BAND`` and ``MST_CROSSOVER_SLOPE``.
 
+Energy growth is measured once, by ``_energy_sweep`` (argument checks and
+trees) and ``_growth_fits`` (a line per alpha), for ``mst_dimension``, the
+``scale`` command and ``theorem1_check`` alike.
+
 Both report their fit points and windows so estimates can be re-examined or
 re-fit externally.
 """
@@ -84,7 +88,7 @@ def greedy_packing(cloud: PointCloud, spec: DistanceSpec, eps: float) -> Packing
         raise InputError("eps must be > 0")
     pts = cloud.points
     threshold = 2.0 * eps
-    key, runs = _cell_keys(pts, spec.coordinate_radius(threshold))
+    key, runs, _ = _cell_keys(pts, spec.coordinate_radius(threshold))
     order = np.argsort(key, kind="stable")
     sorted_key = key[order]
     live = bytearray(b"\x01") * cloud.n
@@ -168,15 +172,6 @@ class DimensionEstimate:
         return json.dumps(_jsonable(record), indent=2)
 
 
-def default_eps_schedule(diam: float, ratio: float = 0.5, max_scales: int = 60):
-    """Geometric cascade eps_j = diam * ratio^j, j = 1..max_scales."""
-    if not (0.0 < ratio < 1.0):
-        raise InputError("schedule ratio must lie in (0, 1)")
-    if not (0.0 < diam < math.inf and max_scales >= 1):
-        raise InputError(f"need a finite anchor > 0 and max scales >= 1, got {diam}, {max_scales}")
-    return [diam * ratio**j for j in range(1, max_scales + 1)]
-
-
 def box_dimension(
     cloud: PointCloud,
     spec: DistanceSpec,
@@ -187,20 +182,27 @@ def box_dimension(
 ) -> DimensionEstimate:
     """Packing-count dimension: slope of log count against log (1/eps).
 
-    Scales shrink geometrically (``ratio`` per step, default halving) from
-    ``anchor`` (default: the cloud diameter) downward, stopping once counts
-    leave the window from above. At least 4 scales must survive the window or
-    the estimate is refused.
+    Packs at ``anchor * ratio**j``, j = 1 .. ``max_scales`` (anchor default:
+    the diameter, measured once the other arguments pass), stopping once
+    counts leave the window from above. At least 4 scales must survive the
+    window or the estimate is refused.
     """
     window = window or WindowPolicy()
     n = cloud.n
+    if not 0.0 < ratio < 1.0:
+        raise InputError("schedule ratio must lie in (0, 1)")
+    if max_scales < 1:
+        raise InputError(f"max scales must be >= 1, got {max_scales}")
     if anchor is None:
         anchor = diameter(cloud, spec)
-    if anchor <= 0.0:
-        raise InputError("cannot estimate dimension of coincident points")
+        if anchor == 0.0:
+            raise InputError("cannot estimate dimension of coincident points")
+    if not 0.0 < anchor < math.inf:
+        raise InputError(f"schedule anchor must be finite and > 0, got {anchor}")
     cap = n * window.max_fraction
     series = []
-    for eps in default_eps_schedule(anchor, ratio, max_scales):
+    for j in range(1, max_scales + 1):
+        eps = anchor * ratio**j
         count = greedy_packing(cloud, spec, eps).count
         series.append((float(eps), count))
         if count > cap or count >= n:
@@ -230,8 +232,48 @@ def box_dimension(
     )
 
 
-def _replicate_seed(base_seed: int, size: int, rep: int) -> np.random.SeedSequence:
-    return np.random.SeedSequence([base_seed, size, rep])
+def _energy_sweep(family: ShapeFamily, spec: DistanceSpec, sizes, alphas, seeds):
+    """Energies indexed [size, seed, alpha] and longest edges indexed [size,
+    seed] of the Kruskal trees of the members ``family.generate(sizes[i],
+    seeds[i][j])``. Checks before the first build: alphas (``check_alphas``,
+    at least one), sizes >= 2 and distinct (kept in order), seeds >= 0."""
+    alphas = check_alphas(alphas)
+    if not alphas:
+        raise InputError("need at least one alpha")
+    if len(set(sizes)) != len(sizes):
+        raise InputError("sizes must be distinct")
+    if min(sizes) < 2:
+        raise InputError(f"sizes must be >= 2 (a tree with edges), got {min(sizes)}")
+    least_seed = min((s for row in seeds for s in row), default=0)
+    if least_seed < 0:
+        raise InputError(f"seed must be >= 0, got {least_seed}")
+    energy = np.empty((len(sizes), len(seeds[0]), len(alphas)))
+    longest = np.empty(energy.shape[:2])
+    for i, size in enumerate(sizes):
+        for j, seed in enumerate(seeds[i]):
+            lengths = build_mst_kruskal(family.generate(size, seed=seed), spec).length
+            energy[i, j] = energies(lengths, alphas)
+            longest[i, j] = lengths.max()
+    return energy, longest
+
+
+def _growth_fits(sizes, alphas, energy) -> list:
+    """Per alpha of an ``_energy_sweep`` table: the series of (log n, mean
+    over seeds of log energy) and its least-squares line, whose slope,
+    r_squared and intercept are None for a single size."""
+    log_n = [math.log(s) for s in sizes]
+    fits = []
+    for k, a in enumerate(alphas):
+        log_e = []
+        for size, values in zip(sizes, energy[:, :, k].tolist()):
+            if min(values) <= 0.0:
+                details = {"size": size, "alpha": a}
+                raise EstimationError(f"zero energy at size {size}, alpha {a}", details)
+            log_e.append(float(np.mean([math.log(v) for v in values])))
+        slope, intercept, r2 = least_squares_line(log_n, log_e) if len(sizes) > 1 else [None] * 3
+        series = [[x, y] for x, y in zip(log_n, log_e)]
+        fits.append({"slope": slope, "r_squared": r2, "intercept": intercept, "series": series})
+    return fits
 
 
 def mst_dimension(
@@ -252,47 +294,19 @@ def mst_dimension(
     independent readout.
     """
     sizes = sorted(int(s) for s in sizes)
-    alphas = sorted(check_alphas(float(a) for a in alphas))
+    alphas = sorted(float(a) for a in alphas)
     if len(sizes) < 3:
         raise InputError("need at least 3 sizes for a growth fit")
-    if not alphas:
-        raise InputError("need at least one alpha")
-    if len(set(sizes)) != len(sizes):
-        raise InputError("sizes must be distinct")
-    if sizes[0] < 2:
-        raise InputError(f"sizes must be >= 2 (a tree with edges), got {sizes[0]}")
-    if seed < 0:
-        raise InputError(f"seed must be >= 0, got {seed}")
-    n_reps = MST_REPLICATES if family.is_random else 1
-    log_energy = {a: [] for a in alphas}
-    for size in sizes:
-        per_alpha = {a: [] for a in alphas}
-        for rep in range(n_reps):
-            if family.is_random:
-                rep_seed = int(_replicate_seed(seed, size, rep).generate_state(1)[0])
-            else:
-                rep_seed = 0
-            cloud = family.generate(size, seed=rep_seed)
-            tree = build_mst_kruskal(cloud, spec)
-            for a, val in zip(alphas, energies(tree.length, alphas)):
-                if val <= 0.0:
-                    raise EstimationError(
-                        f"zero energy at size {size}, alpha {a}",
-                        details={"size": size, "alpha": a},
-                    )
-                per_alpha[a].append(math.log(val))
-        for a in alphas:
-            log_energy[a].append(float(np.mean(per_alpha[a])))
-    log_n = [math.log(s) for s in sizes]
-    per_alpha_fits = {}
-    for a in alphas:
-        slope, intercept, r2 = least_squares_line(log_n, log_energy[a])
-        per_alpha_fits[a] = {
-            "slope": slope,
-            "r_squared": r2,
-            "intercept": intercept,
-            "series": [[x, y] for x, y in zip(log_n, log_energy[a])],
-        }
+    # a random family's replicates draw their seeds from the base seed, fixed
+    # shapes ignore it; a negative seed or size passes on to be refused
+    draw = family.is_random and min(seed, sizes[0]) >= 0
+    seeds = [
+        [int(np.random.SeedSequence([seed, n, r]).generate_state(1)[0])
+         for r in range(MST_REPLICATES)] if draw else [seed]
+        for n in sizes
+    ]
+    energy, _ = _energy_sweep(family, spec, sizes, alphas, seeds)
+    per_alpha_fits = dict(zip(alphas, _growth_fits(sizes, alphas, energy)))
     lo, hi = MST_SLOPE_BAND
     implied = {}
     for a in alphas:
@@ -329,7 +343,7 @@ def mst_dimension(
             "per_alpha": {str(a): per_alpha_fits[a] for a in alphas},
             "implied_dimension": {str(a): implied[a] for a in used},
             "crossover_alpha": crossover,
-            "replicates": n_reps,
+            "replicates": energy.shape[1],
             "family": family.name,
         },
     )

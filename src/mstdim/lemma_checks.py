@@ -24,11 +24,11 @@ import math
 
 import numpy as np
 
+from .dimension import _energy_sweep
 from .errors import InputError
-from .generators import generate_uniform
-from .energy import check_alphas, energies
+from .generators import ShapeFamily
 from .metric import DistanceSpec, Lp, PointCloud
-from .mst import SpanningTree, _closest_distance, build_mst_kruskal
+from .mst import SpanningTree, _closest_distance
 from .reports import CheckReport
 
 __all__ = [
@@ -189,32 +189,32 @@ def normalized_constant(energy_value: float, n: int, d: int, alpha: float) -> fl
 
 
 def theorem1_check(d: int, alphas, sizes, seeds) -> CheckReport:
-    """Sweep uniform clouds and test that the normalized energy constant stays
-    at most ``THEOREM1_THRESHOLD`` and does not drift upward with n.
+    """Sweep uniform clouds under l2 (every seed at every size) and test
+    that the normalized energy constant stays at most ``THEOREM1_THRESHOLD``
+    and does not drift upward with n.
 
     For each size the constant is averaged over seeds; per alpha, the mean of
     the last third of sizes must not exceed the mean of the first third by
     more than the factor ``THEOREM1_TREND_FACTOR``.
     """
     sizes = sorted(int(s) for s in sizes)
-    alphas = check_alphas(float(a) for a in alphas)
+    alphas = [float(a) for a in alphas]
     seeds = list(seeds)
     if len(sizes) < 3:
         raise InputError("need at least 3 sizes for a trend check")
-    table = {a: {n: [] for n in sizes} for a in alphas}
-    for n in sizes:
-        for seed in seeds:
-            cloud = generate_uniform(n, d, seed)
-            tree = build_mst_kruskal(cloud, Lp(2.0))
-            for a, value in zip(alphas, energies(tree.length, alphas)):
-                table[a][n].append(normalized_constant(value, n, d, a))
+    family = ShapeFamily("uniform-cube", d)
+    energy, _ = _energy_sweep(family, Lp(2.0), sizes, alphas, [seeds] * len(sizes))
     max_c = 0.0
     trends = {}
     all_ok = True
     third = max(1, len(sizes) // 3)
-    for a in alphas:
-        means = [float(np.mean(table[a][n])) for n in sizes]
-        max_c = max(max_c, max(float(np.max(table[a][n])) for n in sizes))
+    for k, a in enumerate(alphas):
+        constants = [
+            [normalized_constant(value, n, d, a) for value in values]
+            for n, values in zip(sizes, energy[:, :, k].tolist())
+        ]
+        means = [float(np.mean(c)) for c in constants]
+        max_c = max(max_c, max(float(np.max(c)) for c in constants))
         first = float(np.mean(means[:third]))
         last = float(np.mean(means[-third:]))
         ok = last <= first * THEOREM1_TREND_FACTOR

@@ -240,8 +240,12 @@ class Power(DistanceSpec):
     @property
     def weak_triangle_const(self) -> float:
         # (C (a+b))^e <= C^e (a^e + b^e) for e <= 1, and
-        # <= C^e 2^(e-1) (a^e + b^e) for e >= 1 by convexity of t^e
-        return self.base.weak_triangle_const**self.e * 2.0 ** max(0.0, self.e - 1.0)
+        # <= C^e 2^(e-1) (a^e + b^e) for e >= 1 by convexity of t^e; inf past
+        # the float range
+        try:
+            return self.base.weak_triangle_const**self.e * 2.0 ** max(0.0, self.e - 1.0)
+        except OverflowError:
+            return math.inf
 
     def one_to_many(self, a, pts, out=None):
         d = self.base.one_to_many(a, pts, out)
@@ -299,7 +303,8 @@ _GRID_MAX_CELLS = 2**20
 
 def _cell_keys(pts: np.ndarray, radius: float):
     """Integer cell keys of side just above ``radius`` on the leading
-    coordinates, plus the key offsets that bound the neighbour runs.
+    coordinates, the key offsets that bound the neighbour runs, and k, the
+    number of keyed axes.
 
     Two points whose coordinates differ by at most ``radius`` lie in
     neighbouring cells. The last keyed axis has stride 1, so the 3**k
@@ -312,7 +317,8 @@ def _cell_keys(pts: np.ndarray, radius: float):
     side = np.maximum(radius * _GRID_MARGIN, (coords.max(axis=0) - lo_corner) / _GRID_MAX_CELLS)
     key = np.zeros(pts.shape[0], dtype=np.int64)
     offsets = np.zeros(1, dtype=np.int64)
-    for a in np.flatnonzero(np.isfinite(side) & (side > 0.0)):
+    keyed = np.flatnonzero(np.isfinite(side) & (side > 0.0))
+    for a in keyed:
         q = coords[:, a] - lo_corner[a]
         q /= side[a]
         np.floor(q, out=q)
@@ -323,11 +329,11 @@ def _cell_keys(pts: np.ndarray, radius: float):
         key += q.astype(np.int64)
         key += 1
         offsets = (offsets[:, None] * width + np.array([-1, 0, 1])).ravel()
-    if offsets.size == 1:  # no keyed axis: a single cell
-        return key, np.array([0, 1])
+    if not keyed.size:  # a single cell
+        return key, np.array([0, 1]), 0
     # offsets list the 3**k neighbours in key order, in triples of one run
     runs = np.stack([offsets[0::3], offsets[2::3] + 1], axis=1).ravel()
-    return key, runs
+    return key, runs, keyed.size
 
 
 def diameter(cloud: PointCloud, spec: DistanceSpec) -> float:

@@ -152,11 +152,9 @@ class _CellPairs:
     position s pairs with the later positions of its key runs."""
 
     def __init__(self, pts, spec, radius, limit):
-        key, runs = _cell_keys(pts, spec.coordinate_radius(radius))
+        key, runs, self.axes = _cell_keys(pts, spec.coordinate_radius(radius))
         self.order = np.argsort(key, kind="stable").astype(np.int32)
         key = key[self.order]
-        # 3**k neighbour cells for k keyed axes
-        self.axes = round(math.log(int((runs[1::2] - runs[0::2]).sum()), 3))
         # per chunk of sorted positions from ``first``: the start and the
         # length of the later positions in each key run, one row per position
         self.chunks = []

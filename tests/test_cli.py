@@ -1,6 +1,5 @@
 import hashlib
 import json
-import math
 import xml.etree.ElementTree as ET
 
 import numpy as np
@@ -15,8 +14,8 @@ from mstdim.errors import (
     ResourceError,
 )
 from mstdim.generators import DEFAULT_POINT_BUDGET
-from mstdim.metric import Lp, PointCloud, read_cloud, write_cloud
-from mstdim.mst import build_mst_prim, read_tree, tree_total_length
+from mstdim.metric import Lp, PointCloud, write_cloud
+from mstdim.mst import build_mst_prim, read_tree
 
 
 def run(capsys, *argv):
@@ -312,6 +311,23 @@ def test_scale_csv_and_svg(tmp_path, capsys):
     assert tree.getroot().tag.endswith("svg")
 
 
+def test_scale_plots_fitted_lines_only_across_sizes(tmp_path, capsys):
+    def plot(sizes):
+        svg = tmp_path / "plot.svg"
+        argv = ["scale", "--shape", "grid", "--sizes", sizes, "--alphas", "0.5,1.0",
+                "--seeds", "0", "--out", str(tmp_path / "runs.csv"), "--svg", str(svg)]
+        assert run(capsys, *argv)[0] == 0
+        root = ET.parse(svg).getroot()
+        circles = root.findall("{http://www.w3.org/2000/svg}circle")
+        lines = [e for e in root.findall("{http://www.w3.org/2000/svg}line")
+                 if e.get("stroke-dasharray")]
+        return len(circles), len(lines)
+
+    # one size: a point per alpha and nothing to fit
+    assert plot("64") == (2, 0)
+    assert plot("64,256") == (4, 2)
+
+
 def test_scale_deterministic_output(tmp_path, capsys):
     args = [
         "scale", "--shape", "uniform-cube", "--dim", "2", "--sizes", "64,128",
@@ -417,6 +433,10 @@ _DIM_BOX = ["dim-box", "--in", "{dir}/sq.csv", "--out", "{dir}/b.json"]
         ["mst", "--in", "{dir}/bytes.bin", "--out", "{dir}/t.json"],
         ["dim-box", "--in", "{dir}/bytes.bin"],
         ["energy", "--tree", "{dir}/bytes.bin", "--alpha", "1"],
+        ["scale", "--shape", "grid", "--sizes", "16,64", "--alphas", "1", "--seeds=-1",
+         "--out", "{dir}/s.csv"],
+        _SCALE + ["--sizes", "64,64", "--alphas", "1"],
+        _SCALE + ["--sizes", "64,64", "--alphas", "1", "--svg", "{dir}/s.svg"],
     ],
     ids=["energy-nan", "energy-inf", "scale-alpha-nonpositive", "dim-mst-nan",
          "scale-size-1", "scale-no-sizes", "dim-mst-no-alphas", "verify-lemma2-trials-negative",
@@ -427,7 +447,8 @@ _DIM_BOX = ["dim-box", "--in", "{dir}/sq.csv", "--out", "{dir}/b.json"]
          "dim-mst-size-negative", "dim-mst-size-1", "generate-seed-negative",
          "verify-seed-negative", "dim-mst-seed-negative", "scale-seed-negative",
          "dim-mst-dim-0", "scale-dim-0", "mst-not-utf8", "dim-box-not-utf8",
-         "energy-not-utf8"],
+         "energy-not-utf8", "scale-grid-seed-negative", "scale-sizes-repeated",
+         "scale-sizes-repeated-svg"],
 )
 def test_invalid_numeric_arguments_exit_2(tmp_path, capsys, argv):
     cloud, tree = tmp_path / "sq.csv", tmp_path / "sq.json"

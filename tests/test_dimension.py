@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from mstdim import dimension
 from mstdim.dimension import (
     WindowPolicy,
     box_dimension,
@@ -215,6 +216,31 @@ def test_box_insufficient_scales():
     with pytest.raises(InsufficientScalesError) as err:
         box_dimension(cloud, L2)
     assert "series" in err.value.details
+
+
+@pytest.mark.parametrize(
+    "schedule",
+    [{"ratio": 1.5}, {"ratio": 0.0}, {"ratio": 1.0}, {"max_scales": 0},
+     {"anchor": 0.0}, {"anchor": -1.0}, {"anchor": math.nan}, {"anchor": math.inf}],
+    ids=["ratio-1.5", "ratio-0", "ratio-1", "max-scales-0", "anchor-0", "anchor-negative",
+         "anchor-nan", "anchor-inf"],
+)
+def test_box_schedule_checked_before_the_diameter(monkeypatch, schedule):
+    def no_diameter(*args):
+        raise AssertionError("measured the diameter before checking the schedule")
+
+    monkeypatch.setattr(dimension, "diameter", no_diameter)
+    with pytest.raises(InputError) as err:
+        box_dimension(generate_grid(8, 2), L2, **schedule)
+    # an explicit anchor is refused as such, not as coincident points
+    assert "coincident" not in str(err.value)
+
+
+def test_box_scales_are_anchor_times_powers_of_ratio():
+    cloud, _ = builtin_shape("cantor", 9)
+    est = box_dimension(cloud, L2, ratio=1.0 / 3.0, anchor=1.0)
+    series = [eps for eps, _ in est.details["series"]]
+    assert series == [1.0 * (1.0 / 3.0) ** j for j in range(1, len(series) + 1)]
 
 
 def test_box_window_respected():

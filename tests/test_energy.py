@@ -8,12 +8,7 @@ from hypothesis import strategies as st
 
 from mstdim import cli, dimension, lemma_checks
 from mstdim.dimension import mst_dimension, packing_lower_bound_check
-from mstdim.energy import (
-    EnergyReport,
-    check_alphas,
-    energies,
-    energy,
-)
+from mstdim.energy import check_alphas, energies, energy
 from mstdim.errors import InputError
 from mstdim.generators import ShapeFamily, builtin_shape, generate_uniform
 from mstdim.metric import Lp, PointCloud, diameter

@@ -9,6 +9,7 @@ import mstdim
 from mstdim import cli
 
 README = Path(__file__).resolve().parents[1] / "README.md"
+TESTS = Path(__file__).resolve().parent
 
 
 def _exported(module):
@@ -60,3 +61,28 @@ def test_readme_cli_section_names_every_flag():
         if flag.startswith("--") and flag != "--help"
     }
     assert set(re.findall(r"--[a-z][a-z-]*[a-z]", section)) == flags
+
+
+def _unread_imports(path):
+    """Names a module's top-level imports bind that the module never reads."""
+    tree = ast.parse(path.read_text())
+    bound = set()
+    for node in tree.body:
+        if isinstance(node, ast.Import):
+            bound.update(a.asname or a.name.partition(".")[0] for a in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            bound.update(a.asname or a.name for a in node.names)
+    read = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
+    return sorted(bound - read)
+
+
+def test_no_module_imports_a_name_it_never_reads():
+    # the package __init__ imports names only to re-export them
+    package = Path(mstdim.__file__).parent
+    modules = [p for p in package.glob("*.py") if p.name != "__init__.py"]
+    unread = {
+        path.name: names
+        for path in sorted(modules) + sorted(TESTS.glob("*.py"))
+        if (names := _unread_imports(path))
+    }
+    assert unread == {}

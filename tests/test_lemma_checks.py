@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from mstdim import lemma_checks
+from mstdim import dimension, lemma_checks
 from mstdim.errors import InputError
 from mstdim.generators import builtin_shape, generate_grid, generate_uniform
 from mstdim.lemma_checks import (
@@ -340,6 +340,29 @@ def test_theorem1_check_small_sweep():
 def test_theorem1_check_validation():
     with pytest.raises(InputError):
         theorem1_check(2, [1.0], [256, 512], [0])
+
+
+def test_theorem1_check_refuses_before_building(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("built a tree before checking the sweep")
+
+    monkeypatch.setattr(dimension, "build_mst_kruskal", refuse)
+    with pytest.raises(InputError, match="distinct"):
+        theorem1_check(2, [1.0], [256, 256, 512], [0])
+    with pytest.raises(InputError, match="seed"):
+        theorem1_check(2, [1.0], [256, 512, 1024], [0, -1])
+
+
+def test_lemma4_reports_under_an_infinite_weak_triangle_constant():
+    # the unit square: every tree edge has length 1 ** 2000 = 1, while the
+    # constant 2 ** 1999 is past the float range
+    spec = spec_from_string("powerquasi:2000")
+    cloud = PointCloud([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0], [1.0, 1.0]])
+    tree = build_mst_prim(cloud, spec)
+    report = lemma4_check(cloud, spec, tree, 0.5)
+    assert report.parameters["weak_triangle_const"] == math.inf
+    assert report.details["min_center_distance"] == 1.0
+    assert report.passed
 
 
 def test_normalized_constant_invariances():

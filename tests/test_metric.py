@@ -15,6 +15,7 @@ from mstdim.metric import (
     Power,
     PowerQuasi,
     Snowflake,
+    _cell_keys,
     diameter,
     distance,
     read_cloud,
@@ -141,6 +142,28 @@ def test_weak_triangle_constants():
     assert PowerQuasi(L2, 3.0).weak_triangle_const == 4.0
     # composition: power of a snowflake keeps track of both factors
     assert PowerQuasi(Snowflake(L2, 0.5), 2.0).weak_triangle_const == 2.0
+
+
+def test_weak_triangle_constant_past_the_float_range_is_inf():
+    # 2 ** 1999 overflows a float; every ratio satisfies an infinite constant
+    spec = spec_from_string("powerquasi:2000")
+    assert spec.weak_triangle_const == math.inf
+    cloud = PointCloud(np.random.default_rng(4).random((30, 2)))
+    report = validate_quasi_metric(spec, cloud, trials=200, seed=4)
+    assert report.weak_triangle_const == math.inf
+    assert report.passed
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 5])
+def test_cell_keys_count_their_keyed_axes(d):
+    pts = np.random.default_rng(d).random((50, d))
+    key, runs, axes = _cell_keys(pts, 0.1)
+    assert axes == min(d, 3)
+    # the runs cover the 3**k neighbour cells of k keyed axes
+    assert int((runs[1::2] - runs[0::2]).sum()) == 3**axes
+    # an infinite cell side keys no axis: one cell
+    key, runs, axes = _cell_keys(pts, math.inf)
+    assert axes == 0 and runs.tolist() == [0, 1] and not key.any()
 
 
 ALL_SPECS = [

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mstdim.errors import InputError
-from mstdim.generators import builtin_shape, generate_grid, generate_uniform
+from mstdim.generators import builtin_shape, generate_grid
 from mstdim.metric import Lp, PointCloud, PowerQuasi, Snowflake
 from mstdim.mst import (
     SpanningTree,
