@@ -432,7 +432,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--in", dest="infile", required=True)
     p.add_argument("--metric", default="l2")
     p.add_argument("--ratio", type=float, default=0.5, help="schedule ratio")
-    p.add_argument("--anchor", type=float, help="schedule anchor (default: diameter)")
+    p.add_argument("--anchor", type=float,
+                   help="schedule anchor (default: the exact diameter, a few evaluations per point)")
     p.add_argument("--max-scales", type=int, default=60, dest="max_scales")
     p.add_argument("--window-min", type=int, default=8, dest="window_min")
     p.add_argument("--window-frac", type=float, default=0.125, dest="window_frac")

@@ -236,12 +236,17 @@ def _energy_sweep(family: ShapeFamily, spec: DistanceSpec, sizes, alphas, seeds)
     """Energies indexed [size, seed, alpha] and longest edges indexed [size,
     seed] of the Kruskal trees of the members ``family.generate(sizes[i],
     seeds[i][j])``. Checks before the first build: alphas (``check_alphas``,
-    at least one), sizes >= 2 and distinct (kept in order), seeds >= 0."""
+    at least one, distinct), sizes >= 2 and distinct (kept in order), seeds
+    >= 0 and distinct within each size."""
     alphas = check_alphas(alphas)
     if not alphas:
         raise InputError("need at least one alpha")
+    if len(set(alphas)) != len(alphas):
+        raise InputError("alphas must be distinct")
     if len(set(sizes)) != len(sizes):
         raise InputError("sizes must be distinct")
+    if any(len(set(row)) != len(row) for row in seeds):
+        raise InputError("seeds must be distinct")
     if min(sizes) < 2:
         raise InputError(f"sizes must be >= 2 (a tree with edges), got {min(sizes)}")
     least_seed = min((s for row in seeds for s in row), default=0)

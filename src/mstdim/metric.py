@@ -119,6 +119,13 @@ class DistanceSpec:
         so spatial pruning must consider every point."""
         return math.inf
 
+    def distance_bound(self, extent):
+        """Upper bound, one per row of the (m, d) array ``extent``, on every
+        computed distance between two points whose gaps |a_k - b_k| are at
+        most that row, rounding included. ``inf`` means no bound is known,
+        so a pruned search must evaluate every pair."""
+        return np.full(len(extent), math.inf)
+
     def describe(self) -> str:
         raise NotImplementedError
 
@@ -217,6 +224,15 @@ class Lp(DistanceSpec):
         # 2 ** (-1022 / p) that term underflows and may vanish from the sum.
         return max(t * (1.0 + _BOUND_SLACK), 2.0 ** (-1022.0 / self.p))
 
+    def distance_bound(self, extent):
+        # Each kernel step is monotone in each gap: subtraction, abs or
+        # square, pow, addition in coordinate order and the root. Lifting the
+        # gaps by 2 ** (-1022 / p) keeps every term a normal float, where the
+        # rounding of pow is relative and the slack covers it.
+        lifted = np.asarray(extent, dtype=np.float64) + 2.0 ** (-1022.0 / self.p)
+        with np.errstate(over="ignore"):
+            return self._rows(lifted, np.zeros(lifted.shape[1]), None) * (1.0 + _BOUND_SLACK)
+
     def describe(self) -> str:
         if self.p == 2.0:
             return "l2"
@@ -257,6 +273,12 @@ class Power(DistanceSpec):
 
     def coordinate_radius(self, t: float) -> float:
         return self.base.coordinate_radius(_power_preimage(t, self.e))
+
+    def distance_bound(self, extent):
+        # one ulp more covers a subnormal power, whose rounding is absolute
+        with np.errstate(over="ignore"):
+            bound = self.base.distance_bound(extent) ** self.e * (1.0 + _BOUND_SLACK)
+        return np.nextafter(bound, math.inf)
 
     def describe(self) -> str:
         kind = "snowflake" if self.e <= 1.0 else "powerquasi"
@@ -336,12 +358,130 @@ def _cell_keys(pts: np.ndarray, radius: float):
     return key, runs, keyed.size
 
 
+def _kd_pyramid(pts: np.ndarray):
+    """Median-split kd-tree over all axes, as levels of one permutation.
+
+    Returns ``perm`` and, per level from the root down, ``(edges, lo, hi,
+    child)``: node i holds the points ``perm[edges[i]:edges[i + 1]]``, whose
+    box is ``lo[i]`` .. ``hi[i]``, and its children at the next level start
+    at index ``child[i]``. A node of two or more points splits at its middle
+    along its widest box axis, into nodes ``child[i]`` and ``child[i] + 1``;
+    a single point is its own only child. The last level holds n singletons.
+    """
+    n = pts.shape[0]
+    perm = np.arange(n)
+    edges = np.array([0, n])
+    levels = []
+    while True:
+        sizes = np.diff(edges)
+        held = pts[perm]
+        lo = np.minimum.reduceat(held, edges[:-1], axis=0)
+        hi = np.maximum.reduceat(held, edges[:-1], axis=0)
+        split = sizes >= 2
+        if not split.any():
+            levels.append((edges, lo, hi, None))
+            return perm, levels
+        node = np.repeat(np.arange(sizes.size), sizes)
+        width = hi - lo
+        along = np.argmax(width, axis=1)[node]
+        # sort by node, then by the position in [0, 1] along the node's axis
+        place = held[np.arange(n), along] - lo[node, along]
+        width = width[node, along]
+        place /= np.where(width > 0.0, width, 1.0)
+        perm = perm[np.argsort(place + 2.0 * node, kind="stable")]
+        # each child starts where its parent or the parent's middle does
+        child = np.arange(sizes.size) + np.cumsum(split) - split
+        mids = edges[:-1][split] + sizes[split] // 2
+        levels.append((edges, lo, hi, child))
+        edges = np.sort(np.concatenate([edges, mids]))
+
+
+# Node pairs of at most this many point pairs are evaluated in full; at most
+# this many node pairs are expanded at once, which bounds the memory.
+_LEAF_PAIRS = 64
+_PAIR_CHUNK = 2**12
+
+
 def diameter(cloud: PointCloud, spec: DistanceSpec) -> float:
-    """Maximum pairwise distance, by a row-wise scan of the upper triangle
-    (O(n^2) evaluations)."""
+    """Maximum pairwise distance: the largest value of the row scan
+    ``spec.one_to_many(pts[i], pts[i + 1:])`` over all i, bit for bit.
+
+    Two farthest-point hops from point 0 give a first best distance (specs
+    are exactly symmetric). A branch and bound then walks node pairs
+    (x <= y) of ``_kd_pyramid`` from the root down, breadth-first within
+    batches of at most 4,096 pairs. It drops a pair when
+    ``spec.distance_bound`` of the pair's joint box extent is below the best
+    distance so far. It evaluates the point pairs of a node pair when there
+    are at most 64 of them (through ``spec.pairs``), or row by row when the
+    bound is ``inf``; otherwise it moves on to the pairs of children. Every
+    pair that can reach the maximum is evaluated, so only the work depends
+    on the bound: 2.0-2.2 n evaluations on the built-in shapes up to d = 4,
+    about 10 n in d = 5, and at most n (n - 1) / 2 + 2 n for a spec with
+    none.
+    """
     pts = cloud.points
-    rows = (spec.one_to_many(pts[i], pts[i + 1 :]) for i in range(len(pts) - 1))
-    return max((float(row.max()) for row in rows), default=0.0)
+    if len(pts) < 2:
+        return 0.0
+    hop = spec.one_to_many(pts[0], pts)
+    best = max(float(hop.max()), float(spec.one_to_many(pts[int(np.argmax(hop))], pts).max()))
+    perm, levels = _kd_pyramid(pts)
+    stack = [(0, np.zeros(1, dtype=np.intp), np.zeros(1, dtype=np.intp))]
+    while stack and best < math.inf:
+        depth, x, y = stack.pop()
+        edges, lo, hi, child = levels[depth]
+        extent = np.maximum(hi[x], hi[y]) - np.minimum(lo[x], lo[y])
+        bound = spec.distance_bound(extent)
+        keep = bound >= best
+        x, y, bound = x[keep], y[keep], bound[keep]
+        nx, ny = edges[x + 1] - edges[x], edges[y + 1] - edges[y]
+        leaf = nx * ny <= _LEAF_PAIRS
+        if leaf.any():
+            best = max(best, _block_max(pts, spec, perm, edges, x[leaf], y[leaf]))
+        rows = ~leaf & (bound == math.inf)
+        for a, b in zip(x[rows].tolist(), y[rows].tolist()):
+            best = max(best, _rows_max(pts, spec, perm, edges, a, b))
+        descend = ~leaf & ~rows
+        x, y, nx, ny = x[descend], y[descend], nx[descend], ny[descend]
+        if not x.size:
+            continue
+        # children (cx + a, cy + b); a pair of one node keeps cx + 1 <= cy + 1
+        sx, sy = nx >= 2, ny >= 2
+        cx, cy = child[x], child[y]
+        mask = np.concatenate([np.ones_like(sx), sy, sx & (x != y), sx & sy])
+        x = np.concatenate([cx, cx, cx + 1, cx + 1])[mask]
+        y = np.concatenate([cy, cy + 1, cy, cy + 1])[mask]
+        for k in range(0, x.size, _PAIR_CHUNK):
+            stack.append((depth + 1, x[k : k + _PAIR_CHUNK], y[k : k + _PAIR_CHUNK]))
+    return best
+
+
+def _block_max(pts, spec, perm, edges, x, y) -> float:
+    """Largest distance over the point pairs of node pairs (x, y), each
+    unordered pair once and measured from its lower index like the rows of
+    the upper triangle."""
+    nx, ny = edges[x + 1] - edges[x], edges[y + 1] - edges[y]
+    count = nx * ny
+    pair = np.repeat(np.arange(count.size), count)
+    offset = np.arange(pair.size) - np.repeat(np.cumsum(count) - count, count)
+    i = perm[edges[x][pair] + offset // ny[pair]]
+    j = perm[edges[y][pair] + offset % ny[pair]]
+    # a node paired with itself contributes each of its pairs twice
+    once = (x[pair] != y[pair]) | (i < j)
+    i, j = i[once], j[once]
+    if not i.size:
+        return 0.0
+    return float(spec.pairs(pts[np.maximum(i, j)], pts[np.minimum(i, j)]).max())
+
+
+def _rows_max(pts, spec, perm, edges, a, b) -> float:
+    """Largest distance between the points of nodes a and b, one
+    ``one_to_many`` row per point of a."""
+    best = 0.0
+    for k in range(edges[a], edges[a + 1]):
+        others = perm[k + 1 : edges[b + 1]] if a == b else perm[edges[b] : edges[b + 1]]
+        if others.size:
+            best = max(best, float(spec.one_to_many(pts[perm[k]], pts[others]).max()))
+    return best
 
 
 @dataclass
@@ -370,7 +510,9 @@ def validate_quasi_metric(
 
     The declared constant is analytic, derived from the distance kind;
     sampling can only falsify it, so a PASS means "not contradicted at this
-    sample size".
+    sample size". A triple whose two sides both overflow to ``inf`` says
+    nothing against the constant and counts as ratio 0, like one with
+    d(x, y) = 0; so ``max_ratio`` is never ``nan``.
     """
     if trials < 1:
         raise InputError("trials must be >= 1")
@@ -382,10 +524,11 @@ def validate_quasi_metric(
     idx = rng.integers(0, cloud.n, size=(trials, 3))
     pts = cloud.points
     x, y, z = pts[idx[:, 0]], pts[idx[:, 1]], pts[idx[:, 2]]
-    num = spec.pairs(x, y)
-    den = spec.pairs(x, z) + spec.pairs(z, y)
+    with np.errstate(over="ignore"):
+        num = spec.pairs(x, y)
+        den = spec.pairs(x, z) + spec.pairs(z, y)
     with np.errstate(divide="ignore", invalid="ignore"):
-        ratio = np.where(num == 0.0, 0.0, num / den)
+        ratio = np.where((num == 0.0) | (den == math.inf), 0.0, num / den)
     ratio = np.where((den == 0.0) & (num > 0.0), np.inf, ratio)
     k = int(np.argmax(ratio))
     max_ratio = float(ratio[k])

@@ -1,5 +1,6 @@
-"""What the tests share: a metric with no coordinate bound, a wrapper that
-counts evaluations, and a sequential Kruskal over candidate pairs."""
+"""What the tests share: a metric with no coordinate or distance bound, a
+wrapper that counts evaluations, a sequential Kruskal over candidate pairs
+and the row scan for the diameter."""
 
 import numpy as np
 
@@ -7,8 +8,8 @@ from mstdim.metric import DistanceSpec
 
 
 class Chebyshev(DistanceSpec):
-    """Max-coordinate metric with only ``one_to_many``: no coordinate bound
-    and the default ``pairs``."""
+    """Max-coordinate metric with only ``one_to_many``: no coordinate or
+    distance bound and the default ``pairs``."""
 
     @property
     def weak_triangle_const(self):
@@ -40,6 +41,9 @@ class Counting(DistanceSpec):
     def coordinate_radius(self, t):
         return self.base.coordinate_radius(t)
 
+    def distance_bound(self, extent):
+        return self.base.distance_bound(extent)
+
 
 def kruskal_join(label, u, v):
     """Reference for ``mst._join``: union-find Kruskal over the pairs ``u``,
@@ -61,3 +65,11 @@ def kruskal_join(label, u, v):
             parent[rb] = ra
             taken[k] = True
     return taken, np.array([find(x) for x in range(len(parent))])
+
+
+def diameter(cloud, spec):
+    """Reference for ``metric.diameter``: the maximum over a row-wise scan of
+    the upper triangle, O(n^2) evaluations."""
+    pts = cloud.points
+    rows = (spec.one_to_many(pts[i], pts[i + 1 :]) for i in range(len(pts) - 1))
+    return max((float(row.max()) for row in rows), default=0.0)

@@ -437,6 +437,10 @@ _DIM_BOX = ["dim-box", "--in", "{dir}/sq.csv", "--out", "{dir}/b.json"]
          "--out", "{dir}/s.csv"],
         _SCALE + ["--sizes", "64,64", "--alphas", "1"],
         _SCALE + ["--sizes", "64,64", "--alphas", "1", "--svg", "{dir}/s.svg"],
+        _DIM_MST + ["--sizes", "64,128,256", "--alphas", "1,1,0.5"],
+        _SCALE + ["--sizes", "16,32", "--alphas", "1,1,0.5"],
+        ["scale", "--shape", "uniform-cube", "--sizes", "16,32", "--alphas", "1",
+         "--seeds", "1,1", "--out", "{dir}/s.csv"],
     ],
     ids=["energy-nan", "energy-inf", "scale-alpha-nonpositive", "dim-mst-nan",
          "scale-size-1", "scale-no-sizes", "dim-mst-no-alphas", "verify-lemma2-trials-negative",
@@ -448,7 +452,8 @@ _DIM_BOX = ["dim-box", "--in", "{dir}/sq.csv", "--out", "{dir}/b.json"]
          "verify-seed-negative", "dim-mst-seed-negative", "scale-seed-negative",
          "dim-mst-dim-0", "scale-dim-0", "mst-not-utf8", "dim-box-not-utf8",
          "energy-not-utf8", "scale-grid-seed-negative", "scale-sizes-repeated",
-         "scale-sizes-repeated-svg"],
+         "scale-sizes-repeated-svg", "dim-mst-alphas-repeated", "scale-alphas-repeated",
+         "scale-seeds-repeated"],
 )
 def test_invalid_numeric_arguments_exit_2(tmp_path, capsys, argv):
     cloud, tree = tmp_path / "sq.csv", tmp_path / "sq.json"

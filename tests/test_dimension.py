@@ -18,8 +18,9 @@ from mstdim.dimension import (
 )
 from mstdim.errors import EstimationError, InputError, InsufficientScalesError
 from mstdim.generators import ShapeFamily, builtin_shape, generate_grid
-from mstdim.metric import DistanceSpec, Lp, PointCloud, PowerQuasi, Snowflake
+from mstdim.metric import Lp, PointCloud, PowerQuasi, Snowflake
 from mstdim.mst import build_mst_prim
+from specs import Chebyshev
 
 L2 = Lp(2.0)
 
@@ -124,19 +125,8 @@ def test_packing_grid_extremes_match_scan(offset, spread, eps):
         assert result.center_indices == _reference_packing(cloud, spec, eps)
 
 
-class _Chebyshev(DistanceSpec):
-    """Max-coordinate metric with no coordinate bound of its own."""
-
-    @property
-    def weak_triangle_const(self):
-        return 1.0
-
-    def one_to_many(self, a, pts, out=None):
-        return np.abs(np.asarray(pts) - np.asarray(a)).max(axis=1)
-
-
 def test_packing_without_coordinate_bound_is_exact():
-    spec = _Chebyshev()
+    spec = Chebyshev()
     assert spec.coordinate_radius(0.5) == math.inf
     rng = np.random.default_rng(5)
     cloud = PointCloud(rng.integers(0, 6, (200, 2)).astype(np.float64))

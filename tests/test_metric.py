@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mstdim.errors import InputError
+from mstdim.generators import builtin_shape, generate_uniform
 from mstdim.metric import (
     DistanceSpec,
     Lp,
@@ -23,6 +24,8 @@ from mstdim.metric import (
     validate_quasi_metric,
     write_cloud,
 )
+from specs import Chebyshev, Counting
+from specs import diameter as row_scan_diameter
 
 L2 = Lp(2.0)
 
@@ -112,6 +115,80 @@ def test_diameter_matches_pairwise_max():
             distance(spec, a, b) for a, b in itertools.combinations(cloud.points, 2)
         )
         assert diameter(cloud, spec) == best
+
+
+def _outlier_cloud():
+    pts = np.random.default_rng(6).random((500, 2))
+    pts[123] = (1e9, 1e9)
+    return PointCloud(pts)
+
+
+DIAMETER_CASES = {
+    "n-1": (lambda: PointCloud([[0.5, 0.5]]), L2),
+    "n-2": (lambda: PointCloud([[0.1, 0.7], [3.0, -5.5]]), Lp(3.0)),
+    "coincident": (lambda: PointCloud(np.full((40, 3), 0.25)), L2),
+    "grid-l2": (lambda: builtin_shape("grid", 64)[0], L2),  # many tied maxima
+    "grid-l1": (lambda: builtin_shape("grid", 64)[0], Lp(1.0)),
+    "outlier": (_outlier_cloud, L2),
+    "uniform-d5-lp3": (lambda: generate_uniform(3000, 5, 2), Lp(3.0)),
+    "cantor-powerquasi": (lambda: builtin_shape("cantor", 10)[0], PowerQuasi(L2, 2.0)),
+    "chebyshev": (lambda: PointCloud(np.random.default_rng(7).random((300, 3))), Chebyshev()),
+}
+
+
+@pytest.mark.parametrize("case", list(DIAMETER_CASES))
+def test_diameter_equals_the_row_scan_bitwise(case):
+    make, spec = DIAMETER_CASES[case]
+    cloud = make()
+    assert diameter(cloud, spec) == row_scan_diameter(cloud, spec)
+
+
+DIAMETER_SPECS = [L2, Lp(1.0), Lp(3.0), Lp(400.0), PowerQuasi(L2, 2.0), Snowflake(L2, 0.5), Chebyshev()]
+
+
+@settings(deadline=None, max_examples=60)
+@given(
+    seed=st.integers(0, 10**6),
+    n=st.integers(2, 400),
+    d=st.integers(1, 5),
+    spec_idx=st.integers(0, len(DIAMETER_SPECS) - 1),
+)
+def test_diameter_equals_the_row_scan_on_random_clouds(seed, n, d, spec_idx):
+    spec = DIAMETER_SPECS[spec_idx]
+    rng = np.random.default_rng(seed)
+    # anisotropic clouds, with repeated points: the first hops miss the
+    # farthest pair more often
+    pts = rng.random((n, d)) * 10.0 ** rng.integers(-2, 3, d)
+    pts[rng.integers(0, n, n // 4)] = pts[rng.integers(0, n, n // 4)]
+    cloud = PointCloud(pts)
+    with np.errstate(over="ignore", under="ignore"):  # lp:400
+        assert diameter(cloud, spec) == row_scan_diameter(cloud, spec)
+
+
+# Stated before the work: the pyramid keeps diameter within 8 n evaluations
+# (the two hops cost 2 n) on these clouds.
+@pytest.mark.parametrize(
+    "make, spec",
+    [
+        (lambda: builtin_shape("sierpinski-carpet", 5)[0], L2),
+        (lambda: builtin_shape("grid", 64)[0], L2),
+        (lambda: generate_uniform(8192, 3, 1), PowerQuasi(L2, 2.0)),
+    ],
+    ids=["carpet-5", "grid-64", "uniform-d3-powerquasi"],
+)
+def test_diameter_work_bound(make, spec):
+    cloud = make()
+    counting = Counting(spec)
+    diameter(cloud, counting)
+    assert counting.evals <= 8 * cloud.n
+
+
+@pytest.mark.parametrize("n", [2, 3, 9, 200])
+def test_diameter_without_a_bound_evaluates_each_pair_at_most_once(n):
+    cloud = PointCloud(np.random.default_rng(n).random((n, 2)))
+    counting = Counting(Chebyshev())
+    assert diameter(cloud, counting) == row_scan_diameter(cloud, Chebyshev())
+    assert counting.evals <= n * (n - 1) // 2 + 2 * n
 
 
 def test_distance_dimension_mismatch():
@@ -242,6 +319,15 @@ def test_snowflake_is_metric_exhaustive_grid():
     report = validate_quasi_metric(spec, cloud, trials=4000, seed=5)
     assert report.passed
     assert report.max_ratio <= 1.0 + 1e-9
+
+
+def test_validate_skips_triples_that_overflow_on_both_sides():
+    # 4 ** 2000 overflows: triples whose two sides both read inf give no ratio
+    spec = spec_from_string("powerquasi:2000")
+    cloud = PointCloud(builtin_shape("grid", 5)[0].points * 4.0)
+    report = validate_quasi_metric(spec, cloud, trials=50, seed=0)
+    assert not math.isnan(report.max_ratio)
+    assert report.passed
 
 
 def test_validate_needs_three_points():
@@ -448,3 +534,49 @@ def test_coordinate_radius_bounds_coordinate_gaps(seed, spec_idx, d, log_scale):
                 assert gap <= spec.coordinate_radius(t)
             t = float(np.median(dists))
             assert np.all(gaps[dists <= t] <= spec.coordinate_radius(t))
+
+
+# ------------------------------------------------------- distance bounds
+
+# (spec, log10 of the coordinate magnitude)
+DISTANCE_BOUND_CASES = [
+    (Lp(1.0), 0),
+    (Lp(1.5), 0),
+    (L2, 0),
+    (Lp(3.0), 0),
+    (Lp(400.0), 15),  # p-th powers overflow
+    (Lp(400.0), -3),  # p-th powers underflow
+    (spec_from_string("snowflake:0.5"), 0),
+    (spec_from_string("powerquasi:2"), 0),
+    (spec_from_string("powerquasi:2000"), 0),
+]
+
+
+@settings(deadline=None, max_examples=150)
+@given(
+    seed=st.integers(0, 10**6),
+    case=st.integers(0, len(DISTANCE_BOUND_CASES) - 1),
+    d=st.integers(1, 4),
+    log_spread=st.sampled_from([-15, -12, -6, -3, 0]),
+)
+def test_distance_bound_covers_every_computed_distance(seed, case, d, log_spread):
+    spec, log_scale = DISTANCE_BOUND_CASES[case]
+    rng = np.random.default_rng(seed)
+    # two boxes of corners 10**log_scale * (1 + 10**log_spread * u), and points
+    # inside each
+    corners = 10.0**log_scale * (1.0 + 10.0**log_spread * rng.random((2, 2, d)))
+    lo, hi = corners.min(axis=1), corners.max(axis=1)
+    a, b = (np.minimum(lo[k] + rng.random((30, d)) * (hi[k] - lo[k]), hi[k]) for k in (0, 1))
+    extent = np.maximum(hi[0], hi[1]) - np.minimum(lo[0], lo[1])
+    bound = spec.distance_bound(extent.reshape(1, d))[0]
+    with np.errstate(over="ignore", under="ignore"):
+        assert np.all(spec.pairs(a, b) <= bound)
+        assert np.all(spec.pairs(b, a) <= bound)
+        for point in a:
+            assert np.all(spec.one_to_many(point, b) <= bound)
+
+
+def test_distance_bound_default_is_inf():
+    extent = np.ones((3, 2))
+    assert DistanceSpec().distance_bound(extent).tolist() == [math.inf] * 3
+    assert Chebyshev().distance_bound(extent).tolist() == [math.inf] * 3
