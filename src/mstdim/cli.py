@@ -16,7 +16,6 @@ import hashlib
 import json
 import sys
 import time
-from dataclasses import dataclass, field
 
 from . import __version__
 from .dimension import (
@@ -56,33 +55,6 @@ from .mst import (
 from .reports import format_float
 
 
-@dataclass
-class RunManifest:
-    """Reproducibility record accompanying every output file."""
-
-    command: str
-    parameters: dict
-    seed: int | None
-    toolkit_version: str = __version__
-    input_digest: dict = field(default_factory=dict)
-    started: str = ""
-    finished: str = ""
-
-    def to_json(self) -> str:
-        return json.dumps(
-            {
-                "command": self.command,
-                "parameters": {k: str(v) for k, v in sorted(self.parameters.items())},
-                "seed": self.seed,
-                "toolkit_version": self.toolkit_version,
-                "input_digest": self.input_digest,
-                "started": self.started,
-                "finished": self.finished,
-            },
-            indent=2,
-        )
-
-
 def _digest(path) -> str:
     h = hashlib.sha256()
     with open(path, "rb") as fh:
@@ -91,27 +63,28 @@ def _digest(path) -> str:
     return h.hexdigest()
 
 
-def _manifest(command, args, seed, inputs=()):
-    params = {
-        k: v for k, v in vars(args).items() if k not in ("func",) and v is not None
+def _manifest(command, args, seed, inputs=()) -> dict:
+    """Reproducibility record accompanying every output file; ``_finish``
+    stamps and writes it."""
+    params = {k: str(v) for k, v in sorted(vars(args).items()) if k != "func" and v is not None}
+    return {
+        "command": command,
+        "parameters": params,
+        "seed": seed,
+        "toolkit_version": __version__,
+        "input_digest": {str(p): _digest(p) for p in inputs},
+        "started": time.strftime("%Y-%m-%dT%H:%M:%S"),
+        "finished": "",
     }
-    return RunManifest(
-        command=command,
-        parameters=params,
-        seed=seed,
-        input_digest={str(p): _digest(p) for p in inputs},
-        started=time.strftime("%Y-%m-%dT%H:%M:%S"),
-    )
 
 
-def _finish(manifest: RunManifest, out_path) -> None:
-    manifest.finished = time.strftime("%Y-%m-%dT%H:%M:%S")
+def _finish(manifest: dict, out_path) -> None:
+    manifest["finished"] = time.strftime("%Y-%m-%dT%H:%M:%S")
     with open(str(out_path) + ".manifest.json", "w", newline="\n") as fh:
-        fh.write(manifest.to_json())
-        fh.write("\n")
+        fh.write(json.dumps(manifest, indent=2) + "\n")
 
 
-def _write_output(manifest: RunManifest, path, text: str) -> None:
+def _write_output(manifest: dict, path, text: str) -> None:
     """Write ``text`` to ``path`` with LF endings, then its manifest sidecar."""
     with open(path, "w", newline="\n") as fh:
         fh.write(text)
@@ -158,10 +131,8 @@ def cmd_mst(args) -> int:
     manifest = _manifest("mst", args, None, inputs=[args.infile])
     if args.algo == "prim":
         tree = build_mst_prim(cloud, spec, root=args.root)
-    elif args.algo == "kruskal":
-        tree = build_mst_kruskal(cloud, spec)
     else:
-        raise InputError(f"unknown algorithm {args.algo!r}")
+        tree = build_mst_kruskal(cloud, spec)
     write_tree(tree, args.out)
     _finish(manifest, args.out)
     total = tree_total_length(tree)
@@ -295,12 +266,9 @@ VERIFY_SUITES = {
 
 
 def cmd_verify(args) -> int:
-    suite = VERIFY_SUITES.get(args.suite)
-    if suite is None:
-        raise InputError(f"unknown suite {args.suite!r}")
     if args.trials < 1:
         raise InputError(f"trials must be >= 1, got {args.trials}")
-    reports = suite(args.trials, args.seed)
+    reports = VERIFY_SUITES[args.suite](args.trials, args.seed)
     failed = 0
     for report in reports:
         print(report.summary_line())

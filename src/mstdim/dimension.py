@@ -88,7 +88,7 @@ def greedy_packing(cloud: PointCloud, spec: DistanceSpec, eps: float) -> Packing
         raise InputError("eps must be > 0")
     pts = cloud.points
     threshold = 2.0 * eps
-    key, runs, _ = _cell_keys(pts, spec.coordinate_radius(threshold))
+    key, runs = _cell_keys(pts, spec.coordinate_radius(threshold))
     order = np.argsort(key, kind="stable")
     sorted_key = key[order]
     live = bytearray(b"\x01") * cloud.n

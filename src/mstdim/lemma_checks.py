@@ -156,10 +156,8 @@ def lemma4_check(
         raise InputError("eps must be > 0")
     if tree.insertion_rank is None:
         raise InputError("tree lacks insertion ranks, build it with prim")
-    rank = np.asarray(tree.insertion_rank)
-    long = tree.length > eps
-    u, v = tree.u[long], tree.v[long]
-    chosen = np.where(rank[v] > rank[u], v, u)
+    # edge k's v joined the tree at step k + 1, after its u
+    chosen = tree.v[tree.length > eps]
     c_w = spec.weak_triangle_const
     threshold = 2.0 * eps / (3.0 * c_w)
     min_dist = None

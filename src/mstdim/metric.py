@@ -325,8 +325,7 @@ _GRID_MAX_CELLS = 2**20
 
 def _cell_keys(pts: np.ndarray, radius: float):
     """Integer cell keys of side just above ``radius`` on the leading
-    coordinates, the key offsets that bound the neighbour runs, and k, the
-    number of keyed axes.
+    coordinates, and the key offsets that bound the neighbour runs.
 
     Two points whose coordinates differ by at most ``radius`` lie in
     neighbouring cells. The last keyed axis has stride 1, so the 3**k
@@ -352,10 +351,10 @@ def _cell_keys(pts: np.ndarray, radius: float):
         key += 1
         offsets = (offsets[:, None] * width + np.array([-1, 0, 1])).ravel()
     if not keyed.size:  # a single cell
-        return key, np.array([0, 1]), 0
+        return key, np.array([0, 1])
     # offsets list the 3**k neighbours in key order, in triples of one run
     runs = np.stack([offsets[0::3], offsets[2::3] + 1], axis=1).ravel()
-    return key, runs, keyed.size
+    return key, runs
 
 
 def _kd_pyramid(pts: np.ndarray):
@@ -574,12 +573,8 @@ def write_cloud(cloud: PointCloud, path) -> None:
     """Write the point-cloud text format: one point per line, coordinates as
     comma-separated decimals (17 significant digits), LF endings, no header.
     """
-    lines = []
-    for row in cloud.points:
-        lines.append(",".join(format_float(float(v)) for v in row))
     with open(path, "w", newline="\n") as fh:
-        fh.write("\n".join(lines))
-        fh.write("\n")
+        np.savetxt(fh, cloud.points, fmt="%.17g", delimiter=",")
 
 
 def read_cloud(path) -> PointCloud:

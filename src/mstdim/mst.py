@@ -23,11 +23,12 @@ computed distance <= r, found through the cell grid of greedy packing and
 measured with ``DistanceSpec.pairs``. Borůvka merges over them, in
 canonical order, give exactly the tree edges of length <= r. The first r is
 the median distance from 16 sampled points to their 8th nearest distinct
-point; each later round grows r (at most doubling, at most 32 pairs per
-point) and takes only the pairs that join two components. Once the rest
-would cost Prim at most 8 distance evaluations per pair the last round
-enumerated, Prim grows the largest component over the rest, with distance
-rows between tree and outside points only.
+point; each later round grows r by the first of the factors 2, 2^(1/2),
+2^(1/4) and 2^(1/8) whose grid holds at most 32 pairs per point, and takes
+only the pairs that join two components. Once the rest would cost Prim at
+most 8 distance evaluations per pair the last round enumerated, Prim grows
+the largest component over the rest, with distance rows between tree and
+outside points only.
 
 What it costs. On clouds of bounded local density in up to 3 dimensions
 (the grid keys at most 3 coordinates) O(n) distance evaluations, and array
@@ -152,7 +153,7 @@ class _CellPairs:
     position s pairs with the later positions of its key runs."""
 
     def __init__(self, pts, spec, radius, limit):
-        key, runs, self.axes = _cell_keys(pts, spec.coordinate_radius(radius))
+        key, runs = _cell_keys(pts, spec.coordinate_radius(radius))
         self.order = np.argsort(key, kind="stable").astype(np.int32)
         key = key[self.order]
         # per chunk of sorted positions from ``first``: the start and the
@@ -351,12 +352,8 @@ def _canonical_tree(pts, spec):
         outside = n - int(np.bincount(label).max())
         if outside * n <= _PRIM_PAIRS * cells.total:
             break  # growing the largest component by Prim costs less
-        # a factor whose pair count, scaled from this round's, is over the
-        # limit gets no grid; the last one always does
-        count, axes = cells.total, cells.axes
+        # a grid that overflows the limit stops counting, so it costs little
         for growth in _GROWTH:
-            if count * growth**axes > limit and growth != _GROWTH[-1]:
-                continue
             cells = _CellPairs(pts, spec, radius * growth, limit)
             if cells.total <= limit:
                 break
@@ -550,9 +547,9 @@ def tree_from_text(text: str) -> SpanningTree:
     cycle, finite non-negative lengths, and insertion ranks (if present)
     forming a permutation of range(n) in the edge order: edge k's v has rank
     k + 1 and its u a smaller one."""
-    try:
+    try:  # past int's digit limit json raises ValueError, too deep RecursionError
         record = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:
         raise InputError(f"malformed tree record: {exc}") from None
     if not isinstance(record, dict):
         raise InputError("malformed tree record: expected a JSON object")

@@ -19,8 +19,6 @@ def format_float(x: float) -> str:
 
 
 def _jsonable(value):
-    if isinstance(value, float):
-        return float(format_float(value)) if math.isfinite(value) else value
     if isinstance(value, dict):
         return {str(k): _jsonable(v) for k, v in value.items()}
     if isinstance(value, (list, tuple)):

@@ -1,11 +1,12 @@
 import hashlib
 import json
 import xml.etree.ElementTree as ET
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from mstdim import generators
+from mstdim import cli, generators
 from mstdim.cli import exit_code_for, main
 from mstdim.errors import (
     CheckFailedError,
@@ -179,15 +180,18 @@ def test_energy_prints_unit_square_value(tmp_path, capsys):
         {"n": 2, "builder": "x", "edges": [[0, 1, 1.0]], "insertion_rank": [False, True]},
         {"n": 0, "builder": "prim", "edges": []},
         [0, 1, 0.5],
+        "[" * 200_000 + "]" * 200_000,
+        '{"n": 2, "builder": "prim", "edges": [[0, 1, ' + "1" * 5000 + "]]}",
     ],
     ids=["short-edge", "index-range", "negative", "nan", "self-loop", "cycle",
          "edge-count", "non-integer", "ranks", "scalar-ranks", "rank-order",
          "rank-edge-order", "huge-index", "string-index", "boolean-edge",
-         "boolean-ranks", "empty", "not-object"],
+         "boolean-ranks", "empty", "not-object", "deep-nesting", "huge-int-literal"],
 )
 def test_energy_rejects_invalid_tree(tmp_path, capsys, record):
+    # a str record is written as raw text, anything else as JSON
     tree_path = tmp_path / "bad.json"
-    tree_path.write_text(json.dumps(record))
+    tree_path.write_text(record if isinstance(record, str) else json.dumps(record))
     code, stdout, err = run(capsys, "energy", "--tree", str(tree_path), "--alpha", "1")
     assert code == 2
     assert stdout == ""
@@ -384,6 +388,33 @@ def test_every_output_file_has_a_manifest(tmp_path, capsys):
             manifest = json.loads((tmp_path / f"{name}.manifest.json").read_text())
             assert manifest["command"] == argv[0], name
             assert manifest["input_digest"] == digest, name
+
+
+# ------------------------------------------------------- benchmark tracer
+
+
+def test_benchmark_tracer_wraps_the_package(tmp_path, capsys, monkeypatch):
+    # perfbench/tracing.py wraps package functions by name and calls
+    # ``Lp.one_to_many`` positionally: a rename in the package fails here
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "perfbench"))
+    from tracing import Tracer
+
+    original = cli._manifest
+    tracer = Tracer()
+    tracer.install()
+    try:
+        cloud, tree = tmp_path / "c.csv", tmp_path / "t.json"
+        generate = ["generate", "--shape", "cantor", "--depth", "4", "--out", str(cloud)]
+        assert run(capsys, *generate)[0] == 0
+        assert run(capsys, "mst", "--in", str(cloud), "--out", str(tree))[0] == 0
+    finally:
+        tracer.uninstall()
+    assert cli._manifest is original
+    names = {span.name for span in tracer.spans}
+    assert {"cli.manifest", "metric.write_cloud", "metric.read_cloud",
+            "mst.build_mst_prim", "mst.write_tree"} <= names
+    spans = [*tracer.spans, tracer.orphan]
+    assert sum(span.o2m_evals + span.pairs_evals for span in spans) > 0
 
 
 # ------------------------------------------------------- invalid arguments

@@ -234,13 +234,12 @@ def test_weak_triangle_constant_past_the_float_range_is_inf():
 @pytest.mark.parametrize("d", [1, 2, 3, 5])
 def test_cell_keys_count_their_keyed_axes(d):
     pts = np.random.default_rng(d).random((50, d))
-    key, runs, axes = _cell_keys(pts, 0.1)
-    assert axes == min(d, 3)
+    key, runs = _cell_keys(pts, 0.1)
     # the runs cover the 3**k neighbour cells of k keyed axes
-    assert int((runs[1::2] - runs[0::2]).sum()) == 3**axes
+    assert int((runs[1::2] - runs[0::2]).sum()) == 3 ** min(d, 3)
     # an infinite cell side keys no axis: one cell
-    key, runs, axes = _cell_keys(pts, math.inf)
-    assert axes == 0 and runs.tolist() == [0, 1] and not key.any()
+    key, runs = _cell_keys(pts, math.inf)
+    assert runs.tolist() == [0, 1] and not key.any()
 
 
 ALL_SPECS = [
@@ -381,6 +380,16 @@ def test_cloud_roundtrip_bitwise(tmp_path):
     raw = path.read_bytes()
     assert b"\r" not in raw  # LF endings
     assert raw.decode().count("\n") == 50
+
+
+def test_cloud_text_format(tmp_path):
+    values = [-0.0, 5e-324, 1e308, -1e-310, 1 / 3, 0.1]
+    path = tmp_path / "cloud.csv"
+    write_cloud(PointCloud(np.array(values).reshape(3, 2)), path)
+    # each coordinate at 17 significant digits, one LF-terminated line a point
+    rows = [values[k : k + 2] for k in range(0, 6, 2)]
+    text = "".join(",".join(format(x, ".17g") for x in row) + "\n" for row in rows)
+    assert path.read_bytes() == text.encode()
 
 
 def test_cloud_read_reports_line_numbers(tmp_path):

@@ -6,8 +6,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from mstdim import mst
 from mstdim.errors import InputError
-from mstdim.generators import builtin_shape, generate_grid
+from mstdim.generators import builtin_shape, generate_grid, generate_uniform
 from mstdim.metric import Lp, PointCloud, PowerQuasi, Snowflake
 from mstdim.mst import (
     SpanningTree,
@@ -531,3 +532,30 @@ def test_builder_work_bound(name):
     assert spec.evals <= n * (n - 1) // 2 + 80 * n
     assert tree.edges == build_mst_kruskal(cloud, L2).edges
     assert_canonical(cloud, L2)
+
+
+@pytest.mark.parametrize("name, per_point", [("line-in-3d", 32), ("duplicated-4x", 1024)])
+def test_candidate_rounds_work_bound(name, per_point):
+    # Measured: line-in-3d takes 23.3 evaluations per point, 61.9 if later
+    # rounds also measure the pairs inside one component; duplicated-4x takes
+    # 530.6, 4,107 if every round doubles its radius.
+    n = 8192
+    spec = Counting(L2)
+    build_mst_kruskal(PointCloud(_adversarial_clouds(n)[name]), spec)
+    assert spec.evals <= per_point * n
+
+
+def test_forest_goes_to_prim_before_the_next_grid(monkeypatch):
+    # The first round leaves uniform d = 3 a forest that Prim finishes more
+    # cheaply than more rounds would: no second grid is built (9 without the
+    # Prim exit).
+    built = []
+
+    class Recorded(_CellPairs):
+        def __init__(self, *args):
+            built.append(args)
+            super().__init__(*args)
+
+    monkeypatch.setattr(mst, "_CellPairs", Recorded)
+    build_mst_kruskal(generate_uniform(4096, 3, 5), L2)
+    assert len(built) == 1
