@@ -5,8 +5,8 @@ Every file-producing command writes a manifest sidecar recording the exact
 parameters, seed, toolkit version and input digests; re-running a command
 with the same manifest (timestamps aside) reproduces the output bit for bit.
 
-Exit codes: 0 success, 2 input error, 3 check failed, 4 estimation failed,
-5 resource limit exceeded.
+Exit codes: 0 success, 1 internal error, 2 input error, 3 check failed,
+4 estimation failed, 5 resource limit exceeded.
 """
 
 from __future__ import annotations
@@ -455,6 +455,9 @@ def main(argv=None) -> int:
         return args.func(args)
     except (ToolkitError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return exit_code_for(exc)
+    except Exception as exc:  # a fault of the program: one line, not a traceback
+        print(f"error: internal error: {exc!r}", file=sys.stderr)
         return exit_code_for(exc)
 
 

@@ -3,7 +3,10 @@
 Two estimators that theory says must agree:
 
 * ``box_dimension``: greedy ball packings at a geometric cascade of scales,
-  then a log-log regression of packing count against inverse scale.
+  then a log-log regression of packing count against inverse scale. Each
+  packing reads one cell grid: at the fine scales, where it holds at most 16
+  pairs per point, every pair is measured once through ``spec.pairs``; at
+  the coarse scales each center makes one ``one_to_many`` call.
 * ``mst_dimension``: growth-rate regression of tree energies against sample
   size across a generator family, inverted through d = alpha / (1 - slope).
   Its replicate count, slope band and crossover slope are the constants
@@ -28,8 +31,8 @@ import numpy as np
 from .energy import check_alphas, energies
 from .errors import EstimationError, InputError, InsufficientScalesError
 from .generators import ShapeFamily
-from .metric import DistanceSpec, PointCloud, _cell_keys, diameter
-from .mst import build_mst_kruskal
+from .metric import DistanceSpec, PointCloud, diameter
+from .mst import _PACK_PAIRS, _CellPairs, build_mst_kruskal
 from .reports import CheckReport, _jsonable, format_float
 
 __all__ = [
@@ -78,34 +81,75 @@ def greedy_packing(cloud: PointCloud, spec: DistanceSpec, eps: float) -> Packing
     true maximum packing number at the same scale.
 
     The scan is driven by centers: the first point not yet within 2 eps of a
-    center is the next center, and one ``one_to_many`` call evicts every live
-    point of the neighbouring grid cells within 2 eps of it. The cells are
-    sized by ``spec.coordinate_radius(2 eps)``, so no conflicting point is
-    missed; IEEE subtraction is antisymmetric, so each distance equals the one
-    a point-by-point scan computes, and the centers are the same, in order.
+    center is the next center, and it evicts every point within 2 eps of it.
+    Candidates come from one cell grid, ``mst._CellPairs`` sized by
+    ``spec.coordinate_radius(2 eps)``, whose neighbouring cells hold every
+    pair within 2 eps. Where the grid holds at most ``_PACK_PAIRS`` (16)
+    pairs per point, each pair is measured once through ``spec.pairs`` before
+    the scan, and a center evicts its later conflicts by one slice; otherwise
+    each center makes one ``one_to_many`` call over the live points of its
+    neighbouring cells. Entry i of ``pairs`` equals ``one_to_many`` bit for
+    bit and specs are exactly symmetric, so either way each distance is the
+    one a point-by-point scan computes, and the centers are the same, in
+    order.
     """
     if not eps > 0:
         raise InputError("eps must be > 0")
     pts = cloud.points
     threshold = 2.0 * eps
-    key, runs = _cell_keys(pts, spec.coordinate_radius(threshold))
-    order = np.argsort(key, kind="stable")
-    sorted_key = key[order]
+    limit = _PACK_PAIRS * cloud.n
+    cells = _CellPairs(pts, spec, threshold, limit)
     live = bytearray(b"\x01") * cloud.n
     live_view = np.frombuffer(live, dtype=np.uint8)
+    if cells.total <= limit:
+        blocks = cells.blocks()
+        del cells  # freed once the blocks are spent
+        start, later = _conflicts(pts, spec, threshold, blocks)
+
+        def conflicts(i):
+            return later[start[i] : start[i + 1]]
+
+    else:
+        key, runs, sorted_key = cells.key, cells.runs, cells.sorted_key
+        order = cells.order.astype(np.intp)  # an int32 index costs a cast per use
+
+        def conflicts(i):
+            ends = np.searchsorted(sorted_key, key[i] + runs).tolist()
+            cand = np.concatenate([order[a:b] for a, b in zip(ends[0::2], ends[1::2]) if a < b])
+            cand = cand[live_view[cand].view(bool)]
+            return cand[~(spec.one_to_many(pts[i], pts[cand]) > threshold)]
+
     kept = []
     i = 0
     while i >= 0:
         kept.append(i)
-        ends = np.searchsorted(sorted_key, key[i] + runs).tolist()
-        cand = np.concatenate(
-            [order[a:b] for a, b in zip(ends[0::2], ends[1::2]) if a < b]
-        )
-        cand = cand[live_view[cand].view(bool)]
-        dists = spec.one_to_many(pts[i], pts[cand])
-        live_view[cand[~(dists > threshold)]] = 0
+        live_view[conflicts(i)] = 0
         i = live.find(1, i + 1)
     return PackingResult(eps=eps, center_indices=kept)
+
+
+def _conflicts(pts, spec, threshold, blocks):
+    """The pairs of the (i, j) index ``blocks`` at computed distance not
+    above ``threshold``, each measured once (specs are exactly symmetric),
+    grouped by earlier point: the later points of point i are
+    ``later[start[i]:start[i + 1]]``. Each pair is held as one int64, the
+    earlier point in the high 32 bits, so one in-place sort groups them and
+    the masked result is the intp index array the scan assigns through."""
+    keys = [np.empty(0, dtype=np.int64)]
+    for i, j in blocks:
+        # take, flatnonzero: several times faster than fancy and mask indexing
+        near = np.flatnonzero(~(spec.pairs(pts.take(i, 0), pts.take(j, 0)) > threshold))
+        i, j = i.take(near), j.take(near)
+        key = np.minimum(i, j).astype(np.int64)
+        key <<= 32
+        key |= np.maximum(i, j)
+        keys.append(key)
+    later = np.concatenate(keys)
+    del keys
+    later.sort()
+    start = np.searchsorted(later, np.arange(len(pts) + 1, dtype=np.int64) << 32)
+    later &= 0xFFFFFFFF
+    return start, later
 
 
 @dataclass(frozen=True)

@@ -19,6 +19,7 @@ All oracles are pure functions of their arguments and exactly symmetric.
 
 from __future__ import annotations
 
+import io
 import math
 from dataclasses import dataclass
 
@@ -373,21 +374,25 @@ def _kd_pyramid(pts: np.ndarray):
     levels = []
     while True:
         sizes = np.diff(edges)
-        held = pts[perm]
+        held = pts.take(perm, axis=0)
         lo = np.minimum.reduceat(held, edges[:-1], axis=0)
         hi = np.maximum.reduceat(held, edges[:-1], axis=0)
         split = sizes >= 2
         if not split.any():
             levels.append((edges, lo, hi, None))
             return perm, levels
-        node = np.repeat(np.arange(sizes.size), sizes)
+        # sort by node, then by the position in [0, 1] along the node's axis;
+        # each node's axis, corner and width are gathered once, then repeated
+        node = np.arange(sizes.size)
         width = hi - lo
-        along = np.argmax(width, axis=1)[node]
-        # sort by node, then by the position in [0, 1] along the node's axis
-        place = held[np.arange(n), along] - lo[node, along]
-        width = width[node, along]
-        place /= np.where(width > 0.0, width, 1.0)
-        perm = perm[np.argsort(place + 2.0 * node, kind="stable")]
+        axis = np.argmax(width, axis=1)
+        width = width[node, axis]
+        corner = np.repeat(lo[node, axis], sizes)
+        place = held.ravel()[np.arange(0, held.size, held.shape[1]) + np.repeat(axis, sizes)]
+        place -= corner
+        place /= np.repeat(np.where(width > 0.0, width, 1.0), sizes)
+        place += np.repeat(2.0 * node, sizes)
+        perm = perm[np.argsort(place, kind="stable")]
         # each child starts where its parent or the parent's middle does
         child = np.arange(sizes.size) + np.cumsum(split) - split
         mids = edges[:-1][split] + sizes[split] // 2
@@ -577,11 +582,33 @@ def write_cloud(cloud: PointCloud, path) -> None:
         np.savetxt(fh, cloud.points, fmt="%.17g", delimiter=",")
 
 
+# Bytes that np.loadtxt strips around a coordinate and float() does not.
+_LOADTXT_ONLY_SPACE = (b"\x1c", b"\x1d", b"\x1e", b"\x1f")
+
+
 def read_cloud(path) -> PointCloud:
     """Read the point-cloud text format, enforcing a uniform dimension.
 
-    Malformed lines are reported with their 1-based line number.
+    A well-formed file is parsed in one ``np.loadtxt`` call, which gives the
+    values ``float`` gives. Anything else (malformed or non-UTF-8 text, no
+    points, a byte that only loadtxt reads as a space) goes through a scan
+    line by line, which reports the first fault with its 1-based line number.
     """
+    with open(path, "rb") as fh:
+        data = fh.read()
+    blank = data.isspace() or not data  # loadtxt warns on no lines
+    if not blank and not any(byte in data for byte in _LOADTXT_ONLY_SPACE):
+        try:
+            with io.TextIOWrapper(io.BytesIO(data), encoding="utf-8") as text:
+                return PointCloud(np.loadtxt(text, delimiter=",", ndmin=2, comments=None))
+        except ValueError:  # UnicodeDecodeError too: the scan names the fault
+            pass
+    return PointCloud(_scan_cloud(path))
+
+
+def _scan_cloud(path) -> np.ndarray:
+    """Parse the cloud line by line with ``float``, or raise the first fault
+    as an ``InputError`` naming its line."""
     rows = []
     dim = None
     with open(path, encoding="utf-8") as fh:
@@ -606,4 +633,4 @@ def read_cloud(path) -> PointCloud:
             raise InputError(f"{path}: not UTF-8 text") from None
     if not rows:
         raise InputError(f"{path}: no points found")
-    return PointCloud(np.array(rows, dtype=np.float64))
+    return np.array(rows, dtype=np.float64)

@@ -74,6 +74,10 @@ _SAMPLE_RANK = 8
 # would not need) that all rounds together may spend.
 _ROUND_PAIRS = 32
 _WASTE_PAIRS = 32
+# Greedy packing measures every candidate pair of its grid once, in place of
+# one kernel call per center, when the grid holds at most this many pairs per
+# point.
+_PACK_PAIRS = 16
 # A distance row evaluates a pair several times faster than a round
 # enumerates one: the forest goes to Prim once that needs at most this many
 # row evaluations per pair the last round enumerated. The test comes before
@@ -150,20 +154,24 @@ def _first_radius(pts, spec) -> float:
 class _CellPairs:
     """Every unordered pair of points in neighbouring cells of the packing
     grid sized for computed distances <= ``radius``, each pair once: sorted
-    position s pairs with the later positions of its key runs."""
+    position s pairs with the later positions of its key runs. The grid
+    itself stays readable: ``key`` and ``runs`` from ``_cell_keys``, the
+    stable sort ``order`` of the keys and the sorted keys ``sorted_key``."""
 
     def __init__(self, pts, spec, radius, limit):
         key, runs = _cell_keys(pts, spec.coordinate_radius(radius))
+        self.key, self.runs = key, runs
         self.order = np.argsort(key, kind="stable").astype(np.int32)
-        key = key[self.order]
+        self.sorted_key = key = key[self.order]
         # per chunk of sorted positions from ``first``: the start and the
         # length of the later positions in each key run, one row per position
         self.chunks = []
         self.total = 0  # the pair count, or a count above ``limit``
         for first in range(0, len(key), _CHUNK_POINTS):
-            rows = key[first : first + _CHUNK_POINTS, None]
-            lo = np.searchsorted(key, rows + runs[0::2])
-            count = np.searchsorted(key, rows + runs[1::2])
+            rows = key[first : first + _CHUNK_POINTS]
+            # sorted needles search faster: one row per run, then transposed
+            lo = np.searchsorted(key, rows + runs[0::2, None]).T
+            count = np.searchsorted(key, rows + runs[1::2, None]).T
             np.maximum(lo, np.arange(first + 1, first + 1 + len(rows))[:, None], out=lo)
             count -= lo
             np.maximum(count, 0, out=count)

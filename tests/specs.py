@@ -20,11 +20,13 @@ class Chebyshev(DistanceSpec):
 
 
 class Counting(DistanceSpec):
-    """Counts the distances evaluated through either kernel."""
+    """Counts the distances evaluated through either kernel, and the calls
+    of each kernel."""
 
     def __init__(self, base):
         self.base = base
         self.evals = 0
+        self.calls = {"one_to_many": 0, "pairs": 0}
 
     @property
     def weak_triangle_const(self):
@@ -32,10 +34,12 @@ class Counting(DistanceSpec):
 
     def one_to_many(self, a, pts, out=None):
         self.evals += len(pts)
+        self.calls["one_to_many"] += 1
         return self.base.one_to_many(a, pts, out)
 
     def pairs(self, lhs, rhs):
         self.evals += len(lhs)
+        self.calls["pairs"] += 1
         return self.base.pairs(lhs, rhs)
 
     def coordinate_radius(self, t):

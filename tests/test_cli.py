@@ -553,3 +553,15 @@ def test_exit_code_mapping():
     assert exit_code_for(ResourceError("x")) == 5
     assert exit_code_for(FileNotFoundError("x")) == 2
     assert exit_code_for(RuntimeError("x")) == 1
+
+
+def test_unexpected_exception_is_one_error_line_and_exit_1(tmp_path, capsys, monkeypatch):
+    def broken(args):
+        raise RuntimeError("boom")
+
+    monkeypatch.setattr(cli, "cmd_mst", broken)
+    argv = ["mst", "--in", str(tmp_path / "c.csv"), "--out", str(tmp_path / "t.json")]
+    code, stdout, err = run(capsys, *argv)
+    assert code == 1
+    assert stdout == ""
+    assert err.startswith("error: ") and err.count("\n") == 1 and "boom" in err

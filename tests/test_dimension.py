@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -18,9 +19,9 @@ from mstdim.dimension import (
 )
 from mstdim.errors import EstimationError, InputError, InsufficientScalesError
 from mstdim.generators import ShapeFamily, builtin_shape, generate_grid
-from mstdim.metric import Lp, PointCloud, PowerQuasi, Snowflake
+from mstdim.metric import Lp, PointCloud, PowerQuasi, Snowflake, diameter
 from mstdim.mst import build_mst_prim
-from specs import Chebyshev
+from specs import Chebyshev, Counting
 
 L2 = Lp(2.0)
 
@@ -110,6 +111,7 @@ def test_packing_matches_point_by_point_scan(
     "offset, spread, eps",
     [
         (1e15, 40.0, 0.5),  # coordinates near 1e15, integer gaps, ties at 2 eps
+        (1e15, 4.0, 0.5),  # the same, dense: over 16 pairs per point
         (0.0, 1e6, 1e-9),  # far more than 2**20 cells per axis: side is coarsened
         (-3.0, 1e-6, 1e-3),  # every point in one cell
     ],
@@ -133,6 +135,31 @@ def test_packing_without_coordinate_bound_is_exact():
     for eps in (0.5, 1.0, 1.25, 2.0):
         result = greedy_packing(cloud, spec, eps)
         assert result.center_indices == _reference_packing(cloud, spec, eps)
+
+
+def test_packing_measures_sparse_scales_pair_by_pair():
+    # the last scale of dim-box on grid 64 (7.8 pairs per point): every pair
+    # of neighbouring cells once, no kernel call per center; the first scale
+    # (every point near every other) keeps one call per center
+    cloud = generate_grid(64, 2)
+    anchor = diameter(cloud, L2)
+    last = Counting(L2)
+    assert greedy_packing(cloud, last, anchor * 0.5**7).count == 2048
+    assert last.calls["one_to_many"] == 0 and last.evals <= 16 * cloud.n
+    first = Counting(L2)
+    assert greedy_packing(cloud, first, anchor * 0.5).count == 1
+    assert first.calls["pairs"] == 0
+
+
+def test_packing_memory_bound():
+    cloud, _ = builtin_shape("sierpinski-carpet", 5)
+    tracemalloc.start()
+    try:
+        greedy_packing(cloud, L2, 3.0**-5)  # 12.7 pairs per point, 7,401 centers
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * 2**20
 
 
 def test_packing_single_point():
