@@ -6,7 +6,6 @@ __version__ = "0.1.0"
 from .dimension import (
     DimensionEstimate,
     PackingResult,
-    WindowPolicy,
     box_dimension,
     greedy_packing,
     mst_dimension,

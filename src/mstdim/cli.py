@@ -19,7 +19,6 @@ import time
 
 from . import __version__
 from .dimension import (
-    WindowPolicy,
     _energy_sweep,
     _growth_fits,
     box_dimension,
@@ -160,15 +159,7 @@ def cmd_dim_box(args) -> int:
     spec = spec_from_string(args.metric)
     cloud = read_cloud(args.infile)
     manifest = _manifest("dim-box", args, None, inputs=[args.infile])
-    window = WindowPolicy(min_count=args.window_min, max_fraction=args.window_frac)
-    estimate = box_dimension(
-        cloud,
-        spec,
-        window=window,
-        ratio=args.ratio,
-        anchor=args.anchor,
-        max_scales=args.max_scales,
-    )
+    estimate = box_dimension(cloud, spec, ratio=args.ratio, anchor=args.anchor)
     print(format_float(estimate.value))
     print(
         f"scales used {len(estimate.fit_points)}, r2 {estimate.r_squared:.6f}, "
@@ -402,9 +393,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--ratio", type=float, default=0.5, help="schedule ratio")
     p.add_argument("--anchor", type=float,
                    help="schedule anchor (default: the exact diameter, a few evaluations per point)")
-    p.add_argument("--max-scales", type=int, default=60, dest="max_scales")
-    p.add_argument("--window-min", type=int, default=8, dest="window_min")
-    p.add_argument("--window-frac", type=float, default=0.125, dest="window_frac")
     p.add_argument("--out", help="write the estimate record")
     p.add_argument("--csv", help="write the (eps, count) table")
     p.set_defaults(func=cmd_dim_box)

@@ -6,7 +6,10 @@ Two estimators that theory says must agree:
   then a log-log regression of packing count against inverse scale. Each
   packing reads one cell grid: at the fine scales, where it holds at most 16
   pairs per point, every pair is measured once through ``spec.pairs``; at
-  the coarse scales each center makes one ``one_to_many`` call.
+  the coarse scales each center makes one ``one_to_many`` call. The grid
+  is ``metric._CellPairs``, the one the tree builder reads. Its window and
+  scale cap are the constants ``BOX_MIN_COUNT``, ``BOX_MAX_FRACTION`` and
+  ``BOX_MAX_SCALES``.
 * ``mst_dimension``: growth-rate regression of tree energies against sample
   size across a generator family, inverted through d = alpha / (1 - slope).
   Its replicate count, slope band and crossover slope are the constants
@@ -31,14 +34,13 @@ import numpy as np
 from .energy import check_alphas, energies
 from .errors import EstimationError, InputError, InsufficientScalesError
 from .generators import ShapeFamily
-from .metric import DistanceSpec, PointCloud, diameter
-from .mst import _PACK_PAIRS, _CellPairs, build_mst_kruskal
+from .metric import DistanceSpec, PointCloud, _CellPairs, diameter
+from .mst import build_mst_kruskal
 from .reports import CheckReport, _jsonable, format_float
 
 __all__ = [
     "PackingResult",
     "greedy_packing",
-    "WindowPolicy",
     "DimensionEstimate",
     "box_dimension",
     "mst_dimension",
@@ -54,6 +56,16 @@ __all__ = [
 MST_REPLICATES = 3
 MST_SLOPE_BAND = (0.15, 0.85)
 MST_CROSSOVER_SLOPE = 0.05
+# box_dimension: a scale is fitted when its count lies in [BOX_MIN_COUNT,
+# n * BOX_MAX_FRACTION] (saturation guards at both ends); at most
+# BOX_MAX_SCALES scales are packed.
+BOX_MIN_COUNT = 8
+BOX_MAX_FRACTION = 0.125
+BOX_MAX_SCALES = 60
+# Greedy packing measures every candidate pair of its grid once, in place of
+# one kernel call per center, when the grid holds at most this many pairs per
+# point.
+_PACK_PAIRS = 16
 
 
 @dataclass
@@ -82,16 +94,15 @@ def greedy_packing(cloud: PointCloud, spec: DistanceSpec, eps: float) -> Packing
 
     The scan is driven by centers: the first point not yet within 2 eps of a
     center is the next center, and it evicts every point within 2 eps of it.
-    Candidates come from one cell grid, ``mst._CellPairs`` sized by
-    ``spec.coordinate_radius(2 eps)``, whose neighbouring cells hold every
-    pair within 2 eps. Where the grid holds at most ``_PACK_PAIRS`` (16)
-    pairs per point, each pair is measured once through ``spec.pairs`` before
-    the scan, and a center evicts its later conflicts by one slice; otherwise
-    each center makes one ``one_to_many`` call over the live points of its
-    neighbouring cells. Entry i of ``pairs`` equals ``one_to_many`` bit for
-    bit and specs are exactly symmetric, so either way each distance is the
-    one a point-by-point scan computes, and the centers are the same, in
-    order.
+    Candidates come from one cell grid, ``metric._CellPairs`` for 2 eps,
+    whose neighbouring cells hold every pair within 2 eps. Where the grid
+    holds at most ``_PACK_PAIRS`` (16) pairs per point, its ``blocks``
+    measure each pair once through ``spec.pairs`` before the scan, and a
+    center evicts its later conflicts by one slice; otherwise each center
+    makes one ``one_to_many`` call over the live points the grid's ``near``
+    lists. Entry i of ``pairs`` equals ``one_to_many`` bit for bit and specs
+    are exactly symmetric, so either way each distance is the one a
+    point-by-point scan computes, and the centers are the same, in order.
     """
     if not eps > 0:
         raise InputError("eps must be > 0")
@@ -103,19 +114,16 @@ def greedy_packing(cloud: PointCloud, spec: DistanceSpec, eps: float) -> Packing
     live_view = np.frombuffer(live, dtype=np.uint8)
     if cells.total <= limit:
         blocks = cells.blocks()
-        del cells  # freed once the blocks are spent
-        start, later = _conflicts(pts, spec, threshold, blocks)
+        del cells  # freed once the blocks are spent, before they are joined
+        start, later = _conflicts(blocks, threshold, cloud.n)
 
         def conflicts(i):
             return later[start[i] : start[i + 1]]
 
     else:
-        key, runs, sorted_key = cells.key, cells.runs, cells.sorted_key
-        order = cells.order.astype(np.intp)  # an int32 index costs a cast per use
 
         def conflicts(i):
-            ends = np.searchsorted(sorted_key, key[i] + runs).tolist()
-            cand = np.concatenate([order[a:b] for a, b in zip(ends[0::2], ends[1::2]) if a < b])
+            cand = cells.near(i)
             cand = cand[live_view[cand].view(bool)]
             return cand[~(spec.one_to_many(pts[i], pts[cand]) > threshold)]
 
@@ -128,17 +136,17 @@ def greedy_packing(cloud: PointCloud, spec: DistanceSpec, eps: float) -> Packing
     return PackingResult(eps=eps, center_indices=kept)
 
 
-def _conflicts(pts, spec, threshold, blocks):
-    """The pairs of the (i, j) index ``blocks`` at computed distance not
-    above ``threshold``, each measured once (specs are exactly symmetric),
-    grouped by earlier point: the later points of point i are
-    ``later[start[i]:start[i + 1]]``. Each pair is held as one int64, the
-    earlier point in the high 32 bits, so one in-place sort groups them and
-    the masked result is the intp index array the scan assigns through."""
+def _conflicts(blocks, threshold, n):
+    """The pairs of the (i, j, distance) ``blocks`` of n points at distance
+    not above ``threshold``, grouped by earlier point: the later points of
+    point i are ``later[start[i]:start[i + 1]]``. Each pair is held as one
+    int64, the earlier point in the high 32 bits, so one in-place sort groups
+    them and the masked result is the intp index array the scan assigns
+    through."""
     keys = [np.empty(0, dtype=np.int64)]
-    for i, j in blocks:
+    for i, j, distance in blocks:
         # take, flatnonzero: several times faster than fancy and mask indexing
-        near = np.flatnonzero(~(spec.pairs(pts.take(i, 0), pts.take(j, 0)) > threshold))
+        near = np.flatnonzero(~(distance > threshold))
         i, j = i.take(near), j.take(near)
         key = np.minimum(i, j).astype(np.int64)
         key <<= 32
@@ -147,29 +155,9 @@ def _conflicts(pts, spec, threshold, blocks):
     later = np.concatenate(keys)
     del keys
     later.sort()
-    start = np.searchsorted(later, np.arange(len(pts) + 1, dtype=np.int64) << 32)
+    start = np.searchsorted(later, np.arange(n + 1, dtype=np.int64) << 32)
     later &= 0xFFFFFFFF
     return start, later
-
-
-@dataclass(frozen=True)
-class WindowPolicy:
-    """Scale filter for box fits: keep scales with
-    min_count <= count <= n * max_fraction (saturation guards at both ends).
-    """
-
-    min_count: int = 8
-    max_fraction: float = 0.125
-
-    def __post_init__(self):
-        if not (self.min_count >= 1 and 0.0 < self.max_fraction <= 1.0):
-            raise InputError(f"window needs min count >= 1 and fraction in (0, 1]: {self}")
-
-    def keep(self, count: int, n: int) -> bool:
-        return self.min_count <= count <= n * self.max_fraction
-
-    def describe(self, n: int) -> str:
-        return f"counts in [{self.min_count}, {n * self.max_fraction:g}] of n={n}"
 
 
 def least_squares_line(xs, ys):
@@ -219,43 +207,39 @@ class DimensionEstimate:
 def box_dimension(
     cloud: PointCloud,
     spec: DistanceSpec,
-    window: WindowPolicy | None = None,
     ratio: float = 0.5,
     anchor: float | None = None,
-    max_scales: int = 60,
 ) -> DimensionEstimate:
     """Packing-count dimension: slope of log count against log (1/eps).
 
-    Packs at ``anchor * ratio**j``, j = 1 .. ``max_scales`` (anchor default:
-    the diameter, measured once the other arguments pass), stopping once
-    counts leave the window from above. At least 4 scales must survive the
-    window or the estimate is refused.
+    Packs at ``anchor * ratio**j``, j = 1 .. ``BOX_MAX_SCALES`` (anchor
+    default: the diameter, measured once the other arguments pass), stopping
+    once counts leave the window from above. At least 4 scales must survive
+    the window, counts in [``BOX_MIN_COUNT``, n * ``BOX_MAX_FRACTION``], or
+    the estimate is refused.
     """
-    window = window or WindowPolicy()
     n = cloud.n
     if not 0.0 < ratio < 1.0:
         raise InputError("schedule ratio must lie in (0, 1)")
-    if max_scales < 1:
-        raise InputError(f"max scales must be >= 1, got {max_scales}")
     if anchor is None:
         anchor = diameter(cloud, spec)
         if anchor == 0.0:
             raise InputError("cannot estimate dimension of coincident points")
     if not 0.0 < anchor < math.inf:
         raise InputError(f"schedule anchor must be finite and > 0, got {anchor}")
-    cap = n * window.max_fraction
+    cap = n * BOX_MAX_FRACTION
+    window = f"counts in [{BOX_MIN_COUNT}, {cap:g}] of n={n}"
     series = []
-    for j in range(1, max_scales + 1):
+    for j in range(1, BOX_MAX_SCALES + 1):
         eps = anchor * ratio**j
         count = greedy_packing(cloud, spec, eps).count
         series.append((float(eps), count))
         if count > cap or count >= n:
             break
-    usable = [(eps, count) for eps, count in series if window.keep(count, n)]
+    usable = [(eps, count) for eps, count in series if BOX_MIN_COUNT <= count <= cap]
     if len(usable) < 4:
         raise InsufficientScalesError(
-            f"only {len(usable)} scales inside the window "
-            f"({window.describe(n)}); need at least 4",
+            f"only {len(usable)} scales inside the window ({window}); need at least 4",
             details={"series": series},
         )
     xs = [math.log(1.0 / eps) for eps, _ in usable]
@@ -267,7 +251,7 @@ def box_dimension(
         slope=slope,
         r_squared=r2,
         fit_points=list(zip(xs, ys)),
-        window=window.describe(n),
+        window=window,
         details={
             "series": [[eps, count] for eps, count in series],
             "used": [[eps, count] for eps, count in usable],

@@ -10,7 +10,7 @@ result. The numbered names follow the toolkit's verification catalogue:
   of a minimal tree (Euclidean only, midpoints must exist),
 * lemma4: disjointness of the balls of radius eps/3 around the later endpoint
   of every tree edge longer than eps (any quasi-metric; closest pair found
-  over the cell grid),
+  by ``metric._closest_distance`` over the cell grid of ``metric._CellPairs``),
 * theorem1: boundedness of the normalized energy constant across a sweep of
   uniform clouds.
 
@@ -27,8 +27,8 @@ import numpy as np
 from .dimension import _energy_sweep
 from .errors import InputError
 from .generators import ShapeFamily
-from .metric import DistanceSpec, Lp, PointCloud
-from .mst import SpanningTree, _closest_distance
+from .metric import DistanceSpec, Lp, PointCloud, _closest_distance
+from .mst import SpanningTree
 from .reports import CheckReport
 
 __all__ = [

@@ -19,6 +19,7 @@ All oracles are pure functions of their arguments and exactly symmetric.
 
 from __future__ import annotations
 
+import functools
 import io
 import math
 from dataclasses import dataclass
@@ -322,40 +323,111 @@ _GRID_AXES = 3
 # rounding of (x - lo) / side, at most about 2**-31 cells at 2**20 cells.
 _GRID_MARGIN = 1.0 + 2.0**-20
 _GRID_MAX_CELLS = 2**20
+# Candidate pairs per ``spec.pairs`` call, and sorted points per chunk of
+# neighbour ranges.
+_BLOCK_PAIRS = 1 << 12
+_CHUNK_POINTS = 1 << 10
 
 
-def _cell_keys(pts: np.ndarray, radius: float):
-    """Integer cell keys of side just above ``radius`` on the leading
-    coordinates, and the key offsets that bound the neighbour runs.
+class _CellPairs:
+    """The cell grid for computed distances <= ``radius`` under ``spec``:
+    cells of side just above ``spec.coordinate_radius(radius)`` on the
+    leading coordinates, so two points within ``radius`` lie in neighbouring
+    cells. ``total`` counts the unordered pairs of points in neighbouring
+    cells (or stops at a count above ``limit``), ``blocks`` measures them
+    and ``near`` lists the points next to one point.
 
-    Two points whose coordinates differ by at most ``radius`` lie in
-    neighbouring cells. The last keyed axis has stride 1, so the 3**k
-    neighbours of key K are the 3**(k-1) runs of consecutive keys
-    ``[K + runs[2j], K + runs[2j + 1])``. An axis with no finite positive
-    side is dropped, which only merges cells.
+    Cell keys: the last keyed axis has stride 1, so the 3**k neighbours of
+    key K are the 3**(k-1) runs of consecutive keys ``[K + runs[2j],
+    K + runs[2j + 1])``. An axis with no finite positive side is dropped,
+    which only merges cells. ``order`` is the stable sort of the keys and
+    ``sorted_key`` the keys in that order.
     """
-    coords = pts[:, :_GRID_AXES]
-    lo_corner = coords.min(axis=0)
-    side = np.maximum(radius * _GRID_MARGIN, (coords.max(axis=0) - lo_corner) / _GRID_MAX_CELLS)
-    key = np.zeros(pts.shape[0], dtype=np.int64)
-    offsets = np.zeros(1, dtype=np.int64)
-    keyed = np.flatnonzero(np.isfinite(side) & (side > 0.0))
-    for a in keyed:
-        q = coords[:, a] - lo_corner[a]
-        q /= side[a]
-        np.floor(q, out=q)
-        # cell index + 1: indices 0 and width - 1 stay empty, so neighbour
-        # keys never wrap into another row
-        width = int(q.max()) + 3
-        key *= width
-        key += q.astype(np.int64)
-        key += 1
-        offsets = (offsets[:, None] * width + np.array([-1, 0, 1])).ravel()
-    if not keyed.size:  # a single cell
-        return key, np.array([0, 1])
-    # offsets list the 3**k neighbours in key order, in triples of one run
-    runs = np.stack([offsets[0::3], offsets[2::3] + 1], axis=1).ravel()
-    return key, runs
+
+    def __init__(self, pts, spec, radius, limit):
+        self.pts, self.spec = pts, spec
+        coords = pts[:, :_GRID_AXES]
+        lo_corner = coords.min(axis=0)
+        side = np.maximum(
+            spec.coordinate_radius(radius) * _GRID_MARGIN,
+            (coords.max(axis=0) - lo_corner) / _GRID_MAX_CELLS,
+        )
+        key = np.zeros(pts.shape[0], dtype=np.int64)
+        offsets = np.zeros(1, dtype=np.int64)
+        for a in np.flatnonzero(np.isfinite(side) & (side > 0.0)):
+            q = coords[:, a] - lo_corner[a]
+            q /= side[a]
+            np.floor(q, out=q)
+            # cell index + 1: indices 0 and width - 1 stay empty, so neighbour
+            # keys never wrap into another row
+            width = int(q.max()) + 3
+            key *= width
+            key += q.astype(np.int64)
+            key += 1
+            offsets = (offsets[:, None] * width + np.array([-1, 0, 1])).ravel()
+        # offsets list the 3**k neighbours in key order, three consecutive
+        # keys a run (one key if no axis is keyed: a single cell)
+        trio = offsets.reshape(-1, min(3, offsets.size))
+        self.runs = runs = np.stack([trio[:, 0], trio[:, -1] + 1], axis=1).ravel()
+        self.key = key
+        self.order = np.argsort(key, kind="stable").astype(np.int32)  # 4-byte candidates
+        self.sorted_key = key = key[self.order]
+        # per chunk of sorted positions from ``first``: the start and the
+        # length of the later positions in each key run, one row per position
+        self.chunks = []
+        self.total = 0
+        for first in range(0, len(key), _CHUNK_POINTS):
+            rows = key[first : first + _CHUNK_POINTS]
+            # sorted needles search faster: one row per run, then transposed
+            lo = np.searchsorted(key, rows + runs[0::2, None]).T
+            count = np.searchsorted(key, rows + runs[1::2, None]).T
+            np.maximum(lo, np.arange(first + 1, first + 1 + len(rows))[:, None], out=lo)
+            count -= lo
+            np.maximum(count, 0, out=count)
+            self.chunks.append((first, lo.astype(np.int32), count.astype(np.int32)))
+            self.total += int(count.sum())
+            if self.total > limit:
+                break
+
+    def blocks(self, label=None):
+        """(i, j, distance) arrays of at most about _BLOCK_PAIRS pairs each,
+        every pair once: sorted position s pairs with the later positions of
+        its key runs, and ``spec.pairs`` measures it. Given ``label``, only the
+        pairs whose endpoints have different labels are kept, before they are
+        measured. The ranges are freed as they are spent, so this runs once.
+        """
+        pts, spec, order = self.pts, self.spec, self.order
+        while self.chunks:
+            first, lo, count = self.chunks.pop(0)
+            per_point = count.sum(axis=1)
+            ends = np.cumsum(per_point)
+            start = 0
+            while start < len(ends):
+                done = int(ends[start - 1]) if start else 0
+                stop = max(start + 1, int(np.searchsorted(ends, done + _BLOCK_PAIRS, "right")))
+                runs = count[start:stop].ravel()
+                size = int(ends[stop - 1]) - done
+                if size:
+                    src = np.repeat(np.arange(first + start, first + stop), per_point[start:stop])
+                    skip = np.cumsum(runs) - runs
+                    dst = np.repeat(lo[start:stop].ravel() - skip, runs) + np.arange(size)
+                    i, j = order.take(src), order.take(dst)
+                    if label is not None:
+                        cross = np.flatnonzero(label.take(i) != label.take(j))
+                        i, j = i.take(cross), j.take(cross)
+                    # take: several times faster than a fancy row gather
+                    yield i, j, spec.pairs(pts.take(i, 0), pts.take(j, 0))
+                start = stop
+
+    @functools.cached_property
+    def _near_order(self):
+        return self.order.astype(np.intp)  # an int32 index costs a cast per use
+
+    def near(self, i):
+        """The points in the cells next to point i, i among them."""
+        ends = np.searchsorted(self.sorted_key, self.key[i] + self.runs).tolist()
+        order = self._near_order
+        return np.concatenate([order[a:b] for a, b in zip(ends[0::2], ends[1::2]) if a < b])
 
 
 def _kd_pyramid(pts: np.ndarray):
@@ -474,7 +546,7 @@ def _block_max(pts, spec, perm, edges, x, y) -> float:
     i, j = i[once], j[once]
     if not i.size:
         return 0.0
-    return float(spec.pairs(pts[np.maximum(i, j)], pts[np.minimum(i, j)]).max())
+    return float(spec.pairs(pts.take(np.maximum(i, j), 0), pts.take(np.minimum(i, j), 0)).max())
 
 
 def _rows_max(pts, spec, perm, edges, a, b) -> float:
@@ -486,6 +558,20 @@ def _rows_max(pts, spec, perm, edges, a, b) -> float:
         if others.size:
             best = max(best, float(spec.one_to_many(pts[perm[k]], pts[others]).max()))
     return best
+
+
+def _closest_distance(pts, spec, radius) -> float:
+    """Least computed distance over all pairs of rows of ``pts``. A pass at
+    ``radius`` measures the pairs in neighbouring cells, which hold every pair
+    within ``radius``; it ends the search if one is, or if the pass measured
+    every pair. The next pass runs at twice the radius, or at the least value
+    found if smaller (sure to end)."""
+    while True:
+        cells = _CellPairs(pts, spec, radius, math.inf)
+        least = min((float(d.min()) for _, _, d in cells.blocks()), default=math.inf)
+        if least <= radius or 2 * cells.total == len(pts) * (len(pts) - 1):
+            return least
+        radius = min(2.0 * radius, least) or least
 
 
 @dataclass
@@ -527,7 +613,7 @@ def validate_quasi_metric(
     rng = np.random.default_rng(seed)
     idx = rng.integers(0, cloud.n, size=(trials, 3))
     pts = cloud.points
-    x, y, z = pts[idx[:, 0]], pts[idx[:, 1]], pts[idx[:, 2]]
+    x, y, z = (pts.take(column, 0) for column in idx.T)
     with np.errstate(over="ignore"):
         num = spec.pairs(x, y)
         den = spec.pairs(x, z) + spec.pairs(z, y)

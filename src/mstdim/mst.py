@@ -19,16 +19,16 @@ Each returns a ``SpanningTree`` that stores its edges as the arrays ``u``,
 whole.
 
 How a tree is built. Rounds of candidate pairs come first: every pair at
-computed distance <= r, found through the cell grid of greedy packing and
-measured with ``DistanceSpec.pairs``. Borůvka merges over them, in
-canonical order, give exactly the tree edges of length <= r. The first r is
-the median distance from 16 sampled points to their 8th nearest distinct
-point; each later round grows r by the first of the factors 2, 2^(1/2),
-2^(1/4) and 2^(1/8) whose grid holds at most 32 pairs per point, and takes
-only the pairs that join two components. Once the rest would cost Prim at
-most 8 distance evaluations per pair the last round enumerated, Prim grows
-the largest component over the rest, with distance rows between tree and
-outside points only.
+computed distance <= r, found and measured by ``metric._CellPairs``, the cell
+grid greedy packing and lemma 4's closest pair read too. Borůvka merges over
+them, in canonical order, give exactly the tree edges of length <= r. The
+first r is the median distance from 16 sampled points to their 8th nearest
+distinct point; each later round grows r by the first of the factors 2,
+2^(1/2), 2^(1/4) and 2^(1/8) whose grid holds at most 32 pairs per point,
+and takes only the pairs that join two components. Once the rest would cost
+Prim at most 8 distance evaluations per pair the last round enumerated, Prim
+grows the largest component over the rest, with distance rows between tree
+and outside points only.
 
 What it costs. On clouds of bounded local density in up to 3 dimensions
 (the grid keys at most 3 coordinates) O(n) distance evaluations, and array
@@ -51,7 +51,7 @@ import numpy as np
 
 from .energy import check_alphas
 from .errors import InputError
-from .metric import DistanceSpec, PointCloud, _cell_keys
+from .metric import DistanceSpec, PointCloud, _CellPairs
 
 __all__ = [
     "SpanningTree",
@@ -74,10 +74,6 @@ _SAMPLE_RANK = 8
 # would not need) that all rounds together may spend.
 _ROUND_PAIRS = 32
 _WASTE_PAIRS = 32
-# Greedy packing measures every candidate pair of its grid once, in place of
-# one kernel call per center, when the grid holds at most this many pairs per
-# point.
-_PACK_PAIRS = 16
 # A distance row evaluates a pair several times faster than a round
 # enumerates one: the forest goes to Prim once that needs at most this many
 # row evaluations per pair the last round enumerated. The test comes before
@@ -86,10 +82,6 @@ _PRIM_PAIRS = 8
 # Radius factors tried, in turn, for the next round: the first that keeps the
 # round within _ROUND_PAIRS is taken.
 _GROWTH = (2.0, 2.0**0.5, 2.0**0.25, 2.0**0.125)
-# Candidate pairs per ``spec.pairs`` call, and sorted points per chunk of
-# neighbour ranges.
-_BLOCK_PAIRS = 1 << 12
-_CHUNK_POINTS = 1 << 10
 _NO_EDGES = (np.empty(0, dtype=np.int32), np.empty(0, dtype=np.int32), np.empty(0))
 
 
@@ -149,71 +141,6 @@ def _first_radius(pts, spec) -> float:
             k = min(_SAMPLE_RANK, row.size) - 1
             kth.append(float(np.partition(row, k)[k]))
     return sorted(kth)[len(kth) // 2] if kth else 0.0
-
-
-class _CellPairs:
-    """Every unordered pair of points in neighbouring cells of the packing
-    grid sized for computed distances <= ``radius``, each pair once: sorted
-    position s pairs with the later positions of its key runs. The grid
-    itself stays readable: ``key`` and ``runs`` from ``_cell_keys``, the
-    stable sort ``order`` of the keys and the sorted keys ``sorted_key``."""
-
-    def __init__(self, pts, spec, radius, limit):
-        key, runs = _cell_keys(pts, spec.coordinate_radius(radius))
-        self.key, self.runs = key, runs
-        self.order = np.argsort(key, kind="stable").astype(np.int32)
-        self.sorted_key = key = key[self.order]
-        # per chunk of sorted positions from ``first``: the start and the
-        # length of the later positions in each key run, one row per position
-        self.chunks = []
-        self.total = 0  # the pair count, or a count above ``limit``
-        for first in range(0, len(key), _CHUNK_POINTS):
-            rows = key[first : first + _CHUNK_POINTS]
-            # sorted needles search faster: one row per run, then transposed
-            lo = np.searchsorted(key, rows + runs[0::2, None]).T
-            count = np.searchsorted(key, rows + runs[1::2, None]).T
-            np.maximum(lo, np.arange(first + 1, first + 1 + len(rows))[:, None], out=lo)
-            count -= lo
-            np.maximum(count, 0, out=count)
-            self.chunks.append((first, lo.astype(np.int32), count.astype(np.int32)))
-            self.total += int(count.sum())
-            if self.total > limit:
-                break
-
-    def blocks(self):
-        """(i, j) point-index arrays of at most about _BLOCK_PAIRS pairs each;
-        the ranges are freed as they are spent, so this runs once."""
-        while self.chunks:
-            first, lo, count = self.chunks.pop(0)
-            per_point = count.sum(axis=1)
-            ends = np.cumsum(per_point)
-            start = 0
-            while start < len(ends):
-                done = int(ends[start - 1]) if start else 0
-                stop = max(start + 1, int(np.searchsorted(ends, done + _BLOCK_PAIRS, "right")))
-                runs = count[start:stop].ravel()
-                size = int(ends[stop - 1]) - done
-                if size:
-                    src = np.repeat(np.arange(first + start, first + stop), per_point[start:stop])
-                    skip = np.cumsum(runs) - runs
-                    dst = np.repeat(lo[start:stop].ravel() - skip, runs) + np.arange(size)
-                    yield self.order[src], self.order[dst]
-                start = stop
-
-
-def _closest_distance(pts, spec, radius) -> float:
-    """Least computed distance over all pairs of rows of ``pts``. A pass at
-    ``radius`` measures the pairs in neighbouring cells, which hold every pair
-    within ``radius``; it ends the search if one is, or if the pass measured
-    every pair. The next pass runs at twice the radius, or at the least value
-    found if smaller (sure to end)."""
-    while True:
-        cells = _CellPairs(pts, spec, radius, math.inf)
-        blocks = cells.blocks()
-        least = min((float(spec.pairs(pts[i], pts[j]).min()) for i, j in blocks), default=math.inf)
-        if least <= radius or 2 * cells.total == len(pts) * (len(pts) - 1):
-            return least
-        radius = min(2.0 * radius, least) or least
 
 
 def _join(label, u, v):
@@ -333,11 +260,8 @@ def _canonical_tree(pts, spec):
     waste = 0
     while cells.total <= limit and waste <= _WASTE_PAIRS * n:
         parts = [_NO_EDGES]
-        for i, j in cells.blocks():
-            if need < n - 1:  # only the pairs that join two components
-                cross = label[i] != label[j]
-                i, j = i[cross], j[cross]
-            length = spec.pairs(pts[i], pts[j])
+        # after the first round, only the pairs that join two components
+        for i, j, length in cells.blocks(label if need < n - 1 else None):
             near = length <= radius
             waste += i.size - int(np.count_nonzero(near))
             i, j = i[near], j[near]

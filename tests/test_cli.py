@@ -437,14 +437,8 @@ _DIM_BOX = ["dim-box", "--in", "{dir}/sq.csv", "--out", "{dir}/b.json"]
         ["verify", "--suite", "lemma2", "--trials", "-5", "--seed", "1"],
         ["verify", "--suite", "lemma4", "--trials", "-5", "--seed", "1"],
         ["verify", "--suite", "thm1", "--trials", "0", "--seed", "1"],
-        _DIM_BOX + ["--window-frac", "nan"],
-        _DIM_BOX + ["--window-frac", "inf"],
-        _DIM_BOX + ["--window-frac", "0"],
-        _DIM_BOX + ["--window-frac", "1.5"],
-        _DIM_BOX + ["--window-min", "0"],
         _DIM_BOX + ["--anchor", "nan"],
         _DIM_BOX + ["--anchor", "inf"],
-        _DIM_BOX + ["--max-scales", "0"],
         ["generate", "--shape", "cantor", "--size", "5", "--depth", "4", "--out", "{dir}/c.csv"],
         ["dim-mst", "--shape", "cantor", "--dim", "2", "--seed", "1", "--sizes", "8,16,32",
          "--alphas", "0.5", "--out", "{dir}/d.json"],
@@ -475,9 +469,8 @@ _DIM_BOX = ["dim-box", "--in", "{dir}/sq.csv", "--out", "{dir}/b.json"]
     ],
     ids=["energy-nan", "energy-inf", "scale-alpha-nonpositive", "dim-mst-nan",
          "scale-size-1", "scale-no-sizes", "dim-mst-no-alphas", "verify-lemma2-trials-negative",
-         "verify-lemma4-trials-negative", "verify-thm1-trials-0", "dim-box-frac-nan",
-         "dim-box-frac-inf", "dim-box-frac-0", "dim-box-frac-above-1", "dim-box-min-0",
-         "dim-box-anchor-nan", "dim-box-anchor-inf", "dim-box-no-scales",
+         "verify-lemma4-trials-negative", "verify-thm1-trials-0",
+         "dim-box-anchor-nan", "dim-box-anchor-inf",
          "generate-size-and-depth", "dim-mst-cantor-dim-2", "scale-interval-dim-3",
          "dim-mst-size-negative", "dim-mst-size-1", "generate-seed-negative",
          "verify-seed-negative", "dim-mst-seed-negative", "scale-seed-negative",

@@ -8,7 +8,9 @@ from hypothesis import strategies as st
 
 from mstdim import dimension
 from mstdim.dimension import (
-    WindowPolicy,
+    BOX_MAX_FRACTION,
+    BOX_MAX_SCALES,
+    BOX_MIN_COUNT,
     box_dimension,
     energy_table_csv,
     eps_count_csv,
@@ -237,9 +239,9 @@ def test_box_insufficient_scales():
 
 @pytest.mark.parametrize(
     "schedule",
-    [{"ratio": 1.5}, {"ratio": 0.0}, {"ratio": 1.0}, {"max_scales": 0},
+    [{"ratio": 1.5}, {"ratio": 0.0}, {"ratio": 1.0},
      {"anchor": 0.0}, {"anchor": -1.0}, {"anchor": math.nan}, {"anchor": math.inf}],
-    ids=["ratio-1.5", "ratio-0", "ratio-1", "max-scales-0", "anchor-0", "anchor-negative",
+    ids=["ratio-1.5", "ratio-0", "ratio-1", "anchor-0", "anchor-negative",
          "anchor-nan", "anchor-inf"],
 )
 def test_box_schedule_checked_before_the_diameter(monkeypatch, schedule):
@@ -261,12 +263,16 @@ def test_box_scales_are_anchor_times_powers_of_ratio():
 
 
 def test_box_window_respected():
+    # the fit keeps exactly the scales whose counts lie in the window, and
+    # packing stops at the first scale past its top
     cloud, _ = builtin_shape("cantor", 9)
-    window = WindowPolicy(min_count=4, max_fraction=0.25)
-    est = box_dimension(cloud, L2, ratio=1.0 / 3.0, window=window)
-    counts = [c for _, c in est.details["used"]]
-    assert all(4 <= c <= 0.25 * cloud.n for c in counts)
-    assert "4" in est.window
+    est = box_dimension(cloud, L2, ratio=1.0 / 3.0)
+    cap = BOX_MAX_FRACTION * cloud.n
+    counts = [c for _, c in est.details["series"]]
+    assert [c for _, c in est.details["used"]] == [c for c in counts if BOX_MIN_COUNT <= c <= cap]
+    assert all(c <= cap for c in counts[:-1]) and counts[-1] > cap
+    assert len(counts) <= BOX_MAX_SCALES
+    assert est.window == f"counts in [{BOX_MIN_COUNT}, {cap:g}] of n={cloud.n}"
 
 
 # ----------------------------------------------------------- least squares

@@ -16,7 +16,7 @@ from mstdim.metric import (
     Power,
     PowerQuasi,
     Snowflake,
-    _cell_keys,
+    _CellPairs,
     diameter,
     distance,
     read_cloud,
@@ -234,12 +234,12 @@ def test_weak_triangle_constant_past_the_float_range_is_inf():
 @pytest.mark.parametrize("d", [1, 2, 3, 5])
 def test_cell_keys_count_their_keyed_axes(d):
     pts = np.random.default_rng(d).random((50, d))
-    key, runs = _cell_keys(pts, 0.1)
+    runs = _CellPairs(pts, L2, 0.1, math.inf).runs
     # the runs cover the 3**k neighbour cells of k keyed axes
     assert int((runs[1::2] - runs[0::2]).sum()) == 3 ** min(d, 3)
     # an infinite cell side keys no axis: one cell
-    key, runs = _cell_keys(pts, math.inf)
-    assert runs.tolist() == [0, 1] and not key.any()
+    cells = _CellPairs(pts, L2, math.inf, math.inf)
+    assert cells.runs.tolist() == [0, 1] and not cells.key.any()
 
 
 ALL_SPECS = [

@@ -9,10 +9,9 @@ from hypothesis import strategies as st
 from mstdim import mst
 from mstdim.errors import InputError
 from mstdim.generators import builtin_shape, generate_grid, generate_uniform
-from mstdim.metric import Lp, PointCloud, PowerQuasi, Snowflake
+from mstdim.metric import Lp, PointCloud, PowerQuasi, Snowflake, _CellPairs
 from mstdim.mst import (
     SpanningTree,
-    _CellPairs,
     _join,
     _prufer_edges,
     brute_force_min_tree,
@@ -460,18 +459,33 @@ def test_cell_pairs_cover_every_close_pair_once(seed, n, d, spec_idx, radius):
     # the candidate rounds see every pair within the radius, each once; a
     # missed pair would leave the work to the Prim stage or break the tree
     spec = TREE_SPECS[spec_idx]
-    pts = np.random.default_rng(seed).integers(0, 5, (n, d)) * 0.25
-    blocks = list(_CellPairs(pts, spec, radius, math.inf).blocks())
-    found = [(min(i, j), max(i, j)) for a, b in blocks for i, j in zip(a.tolist(), b.tolist())]
+    rng = np.random.default_rng(seed)
+    pts = rng.integers(0, 5, (n, d)) * 0.25
+    cells = _CellPairs(pts, spec, radius, math.inf)
+    blocks = list(cells.blocks())
+    found = [(min(i, j), max(i, j)) for a, b, _ in blocks for i, j in zip(a.tolist(), b.tolist())]
     assert len(found) == len(set(found))
     assert all(i != j for i, j in found)
-    close = {
-        (i, j)
+    within = [
+        {j for j in range(n) if spec.one_to_many(pts[i], pts[j : j + 1])[0] <= radius}
         for i in range(n)
-        for j in range(i + 1, n)
-        if spec.one_to_many(pts[i], pts[j : j + 1])[0] <= radius
-    }
+    ]
+    close = {(i, j) for i in range(n) for j in within[i] if i < j}
     assert close <= set(found)
+    # each distance is the one the row kernel computes, bit for bit
+    for a, b, distance in blocks:
+        row = [spec.one_to_many(pts[j], pts[i : i + 1])[0] for i, j in zip(a, b)]
+        assert distance.tobytes() == np.array(row, dtype=np.float64).tobytes()
+    # near(i) lists every point within the radius of i
+    assert all(within[i] <= set(cells.near(i).tolist()) for i in range(n))
+    # a label keeps exactly the pairs whose endpoints differ in it
+    label = rng.integers(0, 3, n).astype(np.int32)
+    kept = [
+        (min(i, j), max(i, j))
+        for a, b, _ in _CellPairs(pts, spec, radius, math.inf).blocks(label)
+        for i, j in zip(a.tolist(), b.tolist())
+    ]
+    assert sorted(kept) == sorted(p for p in found if label[p[0]] != label[p[1]])
 
 
 def _partition(label):
