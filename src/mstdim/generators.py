@@ -131,7 +131,10 @@ def builtin_shape(name: str, size: int, dim: int | None = None, seed: int = 0):
         pts = np.zeros((1, d))
         for _ in range(size):
             pts = np.concatenate([ratio * pts + offset for offset in offsets])
-        return PointCloud(np.unique(pts, axis=0)), math.log(m) / math.log(1.0 / ratio)
+        pts = pts[np.lexsort(pts.T[::-1])]
+        fresh = np.ones(len(pts), dtype=bool)
+        fresh[1:] = (pts[1:] != pts[:-1]).any(axis=1)
+        return PointCloud(pts[fresh]), math.log(m) / math.log(1.0 / ratio)
     raise InputError(f"unknown shape {name!r}, expected one of {SHAPE_NAMES}")
 
 

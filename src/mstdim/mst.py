@@ -21,7 +21,9 @@ whole.
 How a tree is built. Rounds of candidate pairs come first: every pair at
 computed distance <= r, found and measured by ``metric._CellPairs``, the cell
 grid greedy packing and lemma 4's closest pair read too. Borůvka merges over
-them, in canonical order, give exactly the tree edges of length <= r. The
+them, in canonical order, give exactly the tree edges of length <= r. One
+argsort of the lengths gives that order when no two lengths are equal;
+ties take one lexsort of the lengths and the packed key (u << 32) | v. The
 first r is the median distance from 16 sampled points to their 8th nearest
 distinct point; each later round grows r by the first of the factors 2,
 2^(1/2), 2^(1/4) and 2^(1/8) whose grid holds at most 32 pairs per point,
@@ -244,6 +246,19 @@ class _Outside:
         return int(ties[np.lexsort((np.maximum(u, v), np.minimum(u, v)))[0]])
 
 
+def _canonical_order(length, u, v):
+    """Positions of the pairs (u, v), 0 <= u, v < 2^31, sorted in canonical
+    order: ``np.lexsort((v, u, length))``. Lengths that are all distinct (no
+    NaN) need only one sort; ties take one lexsort of the lengths and the
+    packed key (u, v)."""
+    order = np.argsort(length)
+    ranked = length[order]
+    if (ranked[1:] > ranked[:-1]).all():
+        return order
+    del order, ranked
+    return np.lexsort(((u.astype(np.int64) << 32) | v, length))
+
+
 @np.errstate(over="ignore")  # a length that overflows is refused at the end
 def _canonical_tree(pts, spec):
     """The minimal spanning tree under (length, min index, max index), as
@@ -270,7 +285,7 @@ def _canonical_tree(pts, spec):
         del parts
         # every pair within ``radius`` that joins two components is here: the
         # forest's merges over them give exactly the tree edges <= ``radius``
-        order = np.lexsort((v, u, length))
+        order = _canonical_order(length, u, v)
         u = u[order]
         v = v[order]
         length = length[order]
@@ -294,7 +309,7 @@ def _canonical_tree(pts, spec):
     if need:
         found.append(_finish(pts, spec, label))
     u, v, length = (np.concatenate(p) for p in zip(*found))
-    order = np.lexsort((v, u, length))
+    order = _canonical_order(length, u, v)
     if not math.isfinite(length[order[-1]]):
         raise InputError(f"a tree edge length overflows to {length[order[-1]]}")
     return u[order], v[order], length[order]
@@ -350,7 +365,7 @@ def build_mst_prim(cloud: PointCloud, spec: DistanceSpec, root: int = 0) -> Span
         return SpanningTree(n=1, builder="prim", edges=[], insertion_rank=[0])
     u, v, length = _canonical_tree(cloud.points, spec)
     ends = np.concatenate([u, v])
-    by_end = np.argsort(ends, kind="stable")
+    by_end = np.argsort(ends)  # the heap orders the pushes, so any order here
     start = np.searchsorted(ends[by_end], np.arange(n + 1)).tolist()
     incident = (by_end % (n - 1)).tolist()  # edge positions, grouped by vertex
     us, vs = u.tolist(), v.tolist()

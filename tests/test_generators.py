@@ -130,6 +130,25 @@ def test_ifs_depth_matches_digit_oracle(name):
     assert known == math.log(len(offsets)) / math.log(1.0 / ratio)
 
 
+@pytest.mark.parametrize("name", sorted(generators._IFS) + ["overlapping"])
+def test_ifs_points_are_the_sorted_distinct_compositions(name, monkeypatch):
+    # oracle: np.unique(axis=0) of every composition; "overlapping" is a
+    # system whose images meet, the only one here that repeats points
+    overlapping = name == "overlapping"
+    if overlapping:
+        name = "cantor-dust"
+        offsets = np.array([[0.0, 0.0], [0.25, 0.0], [0.5, 0.5], [0.5, 0.5]])
+        monkeypatch.setitem(generators._IFS, name, (0.5, offsets))
+    ratio, offsets = generators._IFS[name]
+    pts = np.zeros((1, offsets.shape[1]))
+    for depth in range(5):
+        if depth:
+            pts = np.concatenate([ratio * pts + offset for offset in offsets])
+        expected = np.unique(pts, axis=0)
+        assert np.array_equal(builtin_shape(name, depth)[0].points, expected)
+    assert (len(expected) < len(pts)) == overlapping
+
+
 def test_cantor_depth9_smallest_gap():
     cloud, _ = builtin_shape("cantor", 9)
     gaps = np.diff(cloud.points[:, 0])

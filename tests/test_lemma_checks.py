@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from mstdim import dimension, lemma_checks
+from mstdim import dimension, lemma_checks, metric
 from mstdim.errors import InputError
 from mstdim.generators import builtin_shape, generate_grid, generate_uniform
 from mstdim.lemma_checks import (
@@ -267,6 +267,42 @@ def test_lemma4_min_distance_without_coordinate_bound():
         assert len(chosen) >= 2
         report = lemma4_check(cloud, spec, tree, 2.0**-k)
         assert report.details["min_center_distance"] == _brute_min(spec, cloud.points[chosen])
+
+
+@pytest.mark.parametrize("metric_name", ["l2", "lp:3", "powerquasi:2"])
+@pytest.mark.parametrize("shape", ["uniform-3", "uniform-5", "cantor-8"])
+def test_lemma4_one_grid_from_a_long_edge_between_chosen_vertices(shape, metric_name, monkeypatch):
+    # A long edge whose u is chosen too joins two chosen vertices: its length
+    # bounds the closest pair, so the search from it up ends after one grid.
+    built = []
+
+    class Recorded(metric._CellPairs):
+        def __init__(self, *args):
+            built.append(args)
+            super().__init__(*args)
+
+    monkeypatch.setattr(metric, "_CellPairs", Recorded)
+    cloud = _EXACT_CLOUDS[shape]()
+    spec = spec_from_string(metric_name)
+    tree = build_mst_prim(cloud, spec)
+    pts = cloud.points
+    dist = np.array([spec.one_to_many(p, pts) for p in pts])
+    bounded = 0
+    for k in range(1, 61):
+        eps = 2.0 ** (-k / 2)
+        chosen = _collected(tree, eps)
+        if len(chosen) < 2 or not any(
+            u in chosen for u, _, length in tree.edges if length > eps
+        ):
+            continue
+        built.clear()
+        report = lemma4_check(cloud, spec, tree, eps)
+        assert len(built) == 1
+        i, j = np.triu_indices(len(chosen), k=1)
+        chosen = np.array(chosen)
+        assert report.details["min_center_distance"] == float(dist[chosen[i], chosen[j]].min())
+        bounded += 1
+    assert bounded >= 3
 
 
 _WORK_CLOUDS = {

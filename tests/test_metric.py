@@ -392,6 +392,21 @@ def test_cloud_text_format(tmp_path):
     assert path.read_bytes() == text.encode()
 
 
+@pytest.mark.parametrize("d", [1, 2, 3, 4])
+@pytest.mark.parametrize("n", [1, 4095, 4096, 4097])
+def test_cloud_text_is_savetxt(tmp_path, n, d):
+    # the rows are written in blocks: the bytes are np.savetxt's on either
+    # side of a block boundary
+    rng = np.random.default_rng(n + d)
+    pts = rng.standard_normal((n, d)) * 10.0 ** rng.integers(-320, 300, (n, d))
+    pts.flat[:4] = [-0.0, 5e-324, 1 / 3, 1e308][: pts.size]
+    path = tmp_path / "cloud.csv"
+    write_cloud(PointCloud(pts), path)
+    expected = tmp_path / "savetxt.csv"
+    np.savetxt(expected, pts, fmt="%.17g", delimiter=",")
+    assert path.read_bytes() == expected.read_bytes()
+
+
 def test_cloud_read_reports_line_numbers(tmp_path):
     path = tmp_path / "bad.csv"
     path.write_text("0.0,1.0\n0.5,oops\n")

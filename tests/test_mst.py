@@ -12,6 +12,7 @@ from mstdim.generators import builtin_shape, generate_grid, generate_uniform
 from mstdim.metric import Lp, PointCloud, PowerQuasi, Snowflake, _CellPairs
 from mstdim.mst import (
     SpanningTree,
+    _canonical_order,
     _join,
     _prufer_edges,
     brute_force_min_tree,
@@ -519,6 +520,45 @@ def test_join_matches_sequential_kruskal(seed, n, merged, pairs, levels):
     assert np.array_equal(taken, expected_taken)
     assert np.array_equal(_partition(joined), _partition(expected_label))
     assert np.array_equal(joined[joined], joined)  # every label is a root
+
+
+@st.composite
+def _candidates(draw):
+    """Distinct pairs u < v < 2^31 in any order, each with a length; small
+    indices make pairs that share an endpoint, few lengths make ties."""
+    index = st.integers(0, 9) | st.integers(0, 2**31 - 1)
+    pairs = draw(
+        st.lists(
+            st.tuples(index, index).filter(lambda p: p[0] != p[1]).map(sorted).map(tuple),
+            max_size=60,
+            unique=True,
+        )
+    )
+    lengths = st.sampled_from([0.0, 0.25, 1.0, math.inf]) | st.floats(allow_nan=False)
+    length = draw(st.lists(lengths, min_size=len(pairs), max_size=len(pairs)))
+    u, v = np.array(pairs, dtype=np.int32).reshape(-1, 2).T
+    return np.array(length, dtype=np.float64), u, v
+
+
+@settings(deadline=None, max_examples=300)
+@given(candidates=_candidates())
+def test_canonical_order_is_the_three_key_lexsort(candidates):
+    # with and without ties, zeros and inf: one argsort when the lengths
+    # are distinct, the packed lexsort otherwise
+    length, u, v = candidates
+    assert np.array_equal(_canonical_order(length, u, v), np.lexsort((v, u, length)))
+
+
+@pytest.mark.parametrize(
+    "lengths",
+    [[], [0.0], [math.inf], [1.0, 0.5], [0.5, 0.5], [0.0, 0.0], [math.inf, math.inf]],
+)
+def test_canonical_order_of_few_pairs(lengths):
+    # sizes 0, 1 and 2, the pair with the larger u first
+    length = np.array(lengths, dtype=np.float64)
+    u = np.array([2**31 - 2, 0], dtype=np.int32)[: length.size]
+    v = np.array([2**31 - 1, 2**31 - 1], dtype=np.int32)[: length.size]
+    assert np.array_equal(_canonical_order(length, u, v), np.lexsort((v, u, length)))
 
 
 def _adversarial_clouds(n):
