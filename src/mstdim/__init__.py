@@ -9,7 +9,6 @@ from .dimension import (
     box_dimension,
     greedy_packing,
     mst_dimension,
-    packing_lower_bound_check,
 )
 from .energy import EnergyReport, energies, energy
 from .errors import (
@@ -46,8 +45,6 @@ from .metric import (
 )
 from .mst import (
     SpanningTree,
-    brute_force_min_tree,
     build_mst_kruskal,
     build_mst_prim,
-    tree_total_length,
 )

@@ -26,9 +26,9 @@ from .dimension import (
     eps_count_csv,
     mst_dimension,
 )
-from .energy import energy
+from .energy import energies, energy
 from .errors import CheckFailedError, InputError, ToolkitError
-from .generators import SHAPE_NAMES, ShapeFamily, builtin_shape, generate_uniform
+from .generators import _IFS, SHAPE_NAMES, ShapeFamily, builtin_shape, generate_uniform
 from .lemma_checks import (
     lemma1_sweep,
     lemma2_check,
@@ -48,7 +48,6 @@ from .mst import (
     build_mst_kruskal,
     build_mst_prim,
     read_tree,
-    tree_total_length,
     write_tree,
 )
 from .reports import format_float
@@ -107,9 +106,11 @@ def _parse_list(text: str, kind) -> list:
 def cmd_generate(args) -> int:
     if args.shape == "uniform-cube" and args.seed is None:
         raise InputError("uniform-cube requires --seed (no entropy defaults)")
-    if (args.size is None) == (args.depth is None):
-        raise InputError("give exactly one of --size and --depth")
-    size = args.depth if args.depth is not None else args.size
+    # --depth for the fractals, --size for the other shapes
+    flag, other = ("depth", "size") if args.shape in _IFS else ("size", "depth")
+    size = getattr(args, flag)
+    if size is None or getattr(args, other) is not None:
+        raise InputError(f"{args.shape} takes --{flag} and no --{other}")
     manifest = _manifest("generate", args, args.seed or 0)
     cloud, known_dim = builtin_shape(
         args.shape, size, dim=args.dim, seed=args.seed or 0
@@ -134,7 +135,7 @@ def cmd_mst(args) -> int:
         tree = build_mst_kruskal(cloud, spec)
     write_tree(tree, args.out)
     _finish(manifest, args.out)
-    total = tree_total_length(tree)
+    total = energies(tree.length, [1.0])[0]
     print(f"{args.algo} tree over {tree.n} points, total length {format_float(total)}")
     return 0
 

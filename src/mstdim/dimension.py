@@ -36,7 +36,7 @@ from .errors import EstimationError, InputError, InsufficientScalesError
 from .generators import ShapeFamily
 from .metric import DistanceSpec, PointCloud, _CellPairs, diameter
 from .mst import build_mst_kruskal
-from .reports import CheckReport, _jsonable, format_float
+from .reports import _jsonable, format_float
 
 __all__ = [
     "PackingResult",
@@ -44,7 +44,6 @@ __all__ = [
     "DimensionEstimate",
     "box_dimension",
     "mst_dimension",
-    "packing_lower_bound_check",
     "least_squares_line",
     "eps_count_csv",
     "energy_table_csv",
@@ -378,38 +377,6 @@ def mst_dimension(
             "crossover_alpha": crossover,
             "replicates": energy.shape[1],
             "family": family.name,
-        },
-    )
-
-
-def packing_lower_bound_check(
-    cloud: PointCloud, spec: DistanceSpec, eps: float, alpha: float
-) -> CheckReport:
-    """Energy floor from a packing: over the packing centers every tree edge
-    must exceed 2 eps, hence the alpha-energy of their tree is at least
-    (count - 1) (2 eps)^alpha. Reports both sides.
-    """
-    check_alphas([alpha])
-    packing = greedy_packing(cloud, spec, eps)
-    if packing.count < 2:
-        raise InputError("packing produced fewer than 2 centers, nothing to check")
-    centers = PointCloud(cloud.points[packing.center_indices])
-    lengths = build_mst_kruskal(centers, spec).length
-    min_edge = float(lengths.min())
-    (energy_value,) = energies(lengths, [alpha])
-    bound = (packing.count - 1) * (2.0 * eps) ** alpha
-    edges_ok = min_edge > 2.0 * eps
-    energy_ok = energy_value >= bound * (1.0 - 1e-12)
-    return CheckReport(
-        name="packing-lower-bound",
-        parameters={"eps": eps, "alpha": alpha, "count": packing.count},
-        passed=bool(edges_ok and energy_ok),
-        min_slack=min(min_edge - 2.0 * eps, energy_value - bound),
-        details={
-            "min_edge": min_edge,
-            "edge_threshold": 2.0 * eps,
-            "energy": energy_value,
-            "energy_bound": bound,
         },
     )
 

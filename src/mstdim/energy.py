@@ -13,15 +13,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .errors import InputError
+from .mst import SpanningTree
 from .reports import format_float
-
-if TYPE_CHECKING:  # mst imports this module for check_alphas
-    from .mst import SpanningTree
 
 __all__ = [
     "EnergyReport",
@@ -86,7 +83,7 @@ def energies(lengths, alphas) -> list:
 def energy(tree: SpanningTree, alpha: float) -> EnergyReport:
     """The alpha-energy of the tree (see ``energies``) with its dyadic
     length histogram."""
-    lengths = np.sort(tree.length)
+    lengths = tree.length
     (value,) = energies(lengths, [alpha])
     nonzero = lengths[lengths > 0.0]
     # length = mantissa * 2^exponent, mantissa in [0.5, 1): band -exponent,
@@ -96,7 +93,7 @@ def energy(tree: SpanningTree, alpha: float) -> EnergyReport:
     return EnergyReport(
         alpha=alpha,
         value=value,
-        max_edge=float(lengths[-1]) if lengths.size else 0.0,
+        max_edge=float(lengths.max()) if lengths.size else 0.0,
         n=tree.n,
         bands=dict(zip(bands.tolist(), counts.tolist())),
         overflow=int(np.count_nonzero(nonzero > 1.0)),

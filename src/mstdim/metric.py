@@ -483,41 +483,40 @@ def diameter(cloud: PointCloud, spec: DistanceSpec) -> float:
     ``spec.one_to_many(pts[i], pts[i + 1:])`` over all i, bit for bit.
 
     Two farthest-point hops from point 0 give a first best distance (specs
-    are exactly symmetric). A branch and bound then walks node pairs
-    (x <= y) of ``_kd_pyramid`` from the root down, breadth-first within
-    batches of at most 4,096 pairs. It drops a pair when
-    ``spec.distance_bound`` of the pair's joint box extent is below the best
-    distance so far. It evaluates the point pairs of a node pair when there
-    are at most 64 of them (through ``spec.pairs``), or row by row when the
-    bound is ``inf``; otherwise it moves on to the pairs of children. Every
-    pair that can reach the maximum is evaluated, so only the work depends
-    on the bound: 2.0-2.2 n evaluations on the built-in shapes up to d = 4,
-    about 10 n in d = 5, and at most n (n - 1) / 2 + 2 n for a spec with
-    none.
+    are exactly symmetric). If ``spec.distance_bound`` of the whole cloud's
+    box extent is ``inf``, one row scan settles the rest: n (n - 1) / 2 + 2 n
+    evaluations. Otherwise a branch and bound walks node pairs (x <= y) of
+    ``_kd_pyramid`` from the root down, breadth-first within batches of at
+    most 4,096 pairs. It drops a pair when the bound of the pair's joint box
+    extent is below the best distance so far, evaluates the point pairs of a
+    node pair when there are at most 64 of them (through ``spec.pairs``),
+    and otherwise moves on to the pairs of children. Every pair that can
+    reach the maximum is evaluated, so only the work depends on the bound:
+    2.0-2.2 n evaluations on the built-in shapes up to d = 4 and about 10 n
+    in d = 5.
     """
     pts = cloud.points
     if len(pts) < 2:
         return 0.0
     hop = spec.one_to_many(pts[0], pts)
     best = max(float(hop.max()), float(spec.one_to_many(pts[int(np.argmax(hop))], pts).max()))
+    extent = pts.max(axis=0) - pts.min(axis=0)
+    if spec.distance_bound(extent[None])[0] == math.inf:
+        rows = (spec.one_to_many(pts[i], pts[i + 1 :]).max() for i in range(len(pts) - 1))
+        return max(best, float(max(rows)))
     perm, levels = _kd_pyramid(pts)
     stack = [(0, np.zeros(1, dtype=np.intp), np.zeros(1, dtype=np.intp))]
     while stack and best < math.inf:
         depth, x, y = stack.pop()
         edges, lo, hi, child = levels[depth]
         extent = np.maximum(hi[x], hi[y]) - np.minimum(lo[x], lo[y])
-        bound = spec.distance_bound(extent)
-        keep = bound >= best
-        x, y, bound = x[keep], y[keep], bound[keep]
+        keep = spec.distance_bound(extent) >= best
+        x, y = x[keep], y[keep]
         nx, ny = edges[x + 1] - edges[x], edges[y + 1] - edges[y]
         leaf = nx * ny <= _LEAF_PAIRS
         if leaf.any():
             best = max(best, _block_max(pts, spec, perm, edges, x[leaf], y[leaf]))
-        rows = ~leaf & (bound == math.inf)
-        for a, b in zip(x[rows].tolist(), y[rows].tolist()):
-            best = max(best, _rows_max(pts, spec, perm, edges, a, b))
-        descend = ~leaf & ~rows
-        x, y, nx, ny = x[descend], y[descend], nx[descend], ny[descend]
+        x, y, nx, ny = x[~leaf], y[~leaf], nx[~leaf], ny[~leaf]
         if not x.size:
             continue
         # children (cx + a, cy + b); a pair of one node keeps cx + 1 <= cy + 1
@@ -547,17 +546,6 @@ def _block_max(pts, spec, perm, edges, x, y) -> float:
     if not i.size:
         return 0.0
     return float(spec.pairs(pts.take(np.maximum(i, j), 0), pts.take(np.minimum(i, j), 0)).max())
-
-
-def _rows_max(pts, spec, perm, edges, a, b) -> float:
-    """Largest distance between the points of nodes a and b, one
-    ``one_to_many`` row per point of a."""
-    best = 0.0
-    for k in range(edges[a], edges[a + 1]):
-        others = perm[k + 1 : edges[b + 1]] if a == b else perm[edges[b] : edges[b + 1]]
-        if others.size:
-            best = max(best, float(spec.one_to_many(pts[perm[k]], pts[others]).max()))
-    return best
 
 
 def _closest_distance(pts, spec, radius) -> float:

@@ -10,9 +10,6 @@ the same edge set, bit for bit, whatever the ties in the data:
 * ``build_mst_prim``: the same tree in the order greedy growth from a root
   adds it, with the insertion ranks downstream verifiers need. The order
   comes from a heap of edge positions in the canonical order.
-* ``brute_force_min_tree``: exhaustive minimum of the alpha-energy over all
-  n^(n-2) labeled spanning trees, enumerated through Prufer sequences.
-  The small-n oracle the builders are tested against.
 
 Each returns a ``SpanningTree`` that stores its edges as the arrays ``u``,
 ``v`` and ``length``; tree records, energies and the lemma checks read them
@@ -51,7 +48,6 @@ import math
 
 import numpy as np
 
-from .energy import check_alphas
 from .errors import InputError
 from .metric import DistanceSpec, PointCloud, _CellPairs
 
@@ -59,8 +55,6 @@ __all__ = [
     "SpanningTree",
     "build_mst_prim",
     "build_mst_kruskal",
-    "brute_force_min_tree",
-    "tree_total_length",
     "tree_to_text",
     "tree_from_text",
     "write_tree",
@@ -307,12 +301,15 @@ def _canonical_tree(pts, spec):
         radius *= growth
     del cells  # the Prim stage needs no ranges
     if need:
-        found.append(_finish(pts, spec, label))
+        # every pair within the last radius lies in one component: Prim's
+        # edges are longer than every round's, so only they need sorting
+        u, v, length = _finish(pts, spec, label)
+        order = _canonical_order(length, u, v)
+        found.append((u[order], v[order], length[order]))
     u, v, length = (np.concatenate(p) for p in zip(*found))
-    order = _canonical_order(length, u, v)
-    if not math.isfinite(length[order[-1]]):
-        raise InputError(f"a tree edge length overflows to {length[order[-1]]}")
-    return u[order], v[order], length[order]
+    if not math.isfinite(length[-1]):
+        raise InputError(f"a tree edge length overflows to {length[-1]}")
+    return u, v, length
 
 
 def _finish(pts, spec, label):
@@ -393,64 +390,6 @@ def build_mst_kruskal(cloud: PointCloud, spec: DistanceSpec) -> SpanningTree:
     if cloud.n == 1:
         return SpanningTree(n=1, builder="kruskal", edges=[])
     return SpanningTree(cloud.n, "kruskal", _canonical_tree(cloud.points, spec))
-
-
-def _prufer_edges(seqs, n):
-    """Decode the Prufer sequences in the rows of ``seqs`` side by side:
-    yields, for each of the n - 1 steps, the columns (leaf, x) of the edge
-    it adds in every row. A step joins the least leaf to the next entry x
-    and drops the leaf; the last joins the two vertices left, one of them
-    n - 1, which is never the least of two or more leaves."""
-    rows, cols = np.arange(len(seqs)), np.arange(n)
-    degree = np.ones((len(seqs), n), dtype=np.int64)
-    for x in seqs.T:
-        np.add.at(degree, (rows, x), 1)
-    for x in seqs.T:
-        leaf = np.argmin(np.where(degree == 1, cols, n), axis=1)
-        yield leaf, x
-        degree[rows, leaf] = 0
-        degree[rows, x] -= 1
-    yield np.argmin(np.where(degree == 1, cols, n), axis=1), np.full(len(seqs), n - 1)
-
-
-def _all_tree_energies(weights: np.ndarray):
-    """Energy of every labeled spanning tree, trees indexed by Prufer sequence
-    in lexicographic order. Vectorized across all n^(n-2) sequences."""
-    n = weights.shape[0]
-    seqs = np.array(list(itertools.product(range(n), repeat=n - 2)), dtype=np.int64)
-    energy = np.zeros(len(seqs))
-    for leaf, x in _prufer_edges(seqs, n):
-        energy += weights[leaf, x]
-    return energy, seqs
-
-
-def brute_force_min_tree(cloud: PointCloud, spec: DistanceSpec, alpha: float):
-    """Global minimum of the alpha-energy over every labeled spanning tree.
-
-    Returns (tree, energy). Restricted to 2 <= n <= 8 (n^(n-2) trees) and to
-    an alpha that is finite and > 0. Among equal-energy minimizers, the tree
-    whose Prufer sequence is lexicographically smallest is returned.
-    """
-    check_alphas([alpha])
-    n = cloud.n
-    if not (2 <= n <= 8):
-        raise InputError(f"brute force supports 2 <= n <= 8, got n={n}")
-    pts = cloud.points
-    dist = np.empty((n, n))
-    for i in range(n):
-        spec.one_to_many(pts[i], pts, out=dist[i])
-    weights = dist**alpha
-    np.fill_diagonal(weights, 0.0)
-    energies, seqs = _all_tree_energies(weights)
-    best = int(np.argmin(energies))
-    u, v = (np.concatenate(c) for c in zip(*_prufer_edges(seqs[best : best + 1], n)))
-    tree = SpanningTree(n, "brute-force", (u, v, dist[u, v]))
-    return tree, float(energies[best])
-
-
-def tree_total_length(tree: SpanningTree) -> float:
-    """Sum of edge lengths, accumulated in ascending order; 0 for n = 1."""
-    return float(np.sort(tree.length).sum())
 
 
 def tree_to_text(tree: SpanningTree) -> str:

@@ -1,10 +1,18 @@
 """What the tests share: a metric with no coordinate or distance bound, a
-wrapper that counts evaluations, a sequential Kruskal over candidate pairs
-and the row scan for the diameter."""
+wrapper that counts evaluations, and the oracles: a sequential Kruskal over
+candidate pairs, the row scan for the diameter, the exhaustive minimal tree
+over Prufer sequences and the packing floor on tree energies."""
+
+import itertools
 
 import numpy as np
 
-from mstdim.metric import DistanceSpec
+from mstdim.dimension import greedy_packing
+from mstdim.energy import check_alphas, energies
+from mstdim.errors import InputError
+from mstdim.metric import DistanceSpec, PointCloud
+from mstdim.mst import SpanningTree, build_mst_kruskal
+from mstdim.reports import CheckReport
 
 
 class Chebyshev(DistanceSpec):
@@ -77,3 +85,88 @@ def diameter(cloud, spec):
     pts = cloud.points
     rows = (spec.one_to_many(pts[i], pts[i + 1 :]) for i in range(len(pts) - 1))
     return max((float(row.max()) for row in rows), default=0.0)
+
+
+def _prufer_edges(seqs, n):
+    """Decode the Prufer sequences in the rows of ``seqs`` side by side:
+    yields, for each of the n - 1 steps, the columns (leaf, x) of the edge
+    it adds in every row. A step joins the least leaf to the next entry x
+    and drops the leaf; the last joins the two vertices left, one of them
+    n - 1, which is never the least of two or more leaves."""
+    rows, cols = np.arange(len(seqs)), np.arange(n)
+    degree = np.ones((len(seqs), n), dtype=np.int64)
+    for x in seqs.T:
+        np.add.at(degree, (rows, x), 1)
+    for x in seqs.T:
+        leaf = np.argmin(np.where(degree == 1, cols, n), axis=1)
+        yield leaf, x
+        degree[rows, leaf] = 0
+        degree[rows, x] -= 1
+    yield np.argmin(np.where(degree == 1, cols, n), axis=1), np.full(len(seqs), n - 1)
+
+
+def _all_tree_energies(weights: np.ndarray):
+    """Energy of every labeled spanning tree, trees indexed by Prufer sequence
+    in lexicographic order. Vectorized across all n^(n-2) sequences."""
+    n = weights.shape[0]
+    seqs = np.array(list(itertools.product(range(n), repeat=n - 2)), dtype=np.int64)
+    energy = np.zeros(len(seqs))
+    for leaf, x in _prufer_edges(seqs, n):
+        energy += weights[leaf, x]
+    return energy, seqs
+
+
+def brute_force_min_tree(cloud: PointCloud, spec: DistanceSpec, alpha: float):
+    """Global minimum of the alpha-energy over every labeled spanning tree.
+
+    Returns (tree, energy). Restricted to 2 <= n <= 8 (n^(n-2) trees) and to
+    an alpha that is finite and > 0. Among equal-energy minimizers, the tree
+    whose Prufer sequence is lexicographically smallest is returned.
+    """
+    check_alphas([alpha])
+    n = cloud.n
+    if not (2 <= n <= 8):
+        raise InputError(f"brute force supports 2 <= n <= 8, got n={n}")
+    pts = cloud.points
+    dist = np.empty((n, n))
+    for i in range(n):
+        spec.one_to_many(pts[i], pts, out=dist[i])
+    weights = dist**alpha
+    np.fill_diagonal(weights, 0.0)
+    energies, seqs = _all_tree_energies(weights)
+    best = int(np.argmin(energies))
+    u, v = (np.concatenate(c) for c in zip(*_prufer_edges(seqs[best : best + 1], n)))
+    tree = SpanningTree(n, "brute-force", (u, v, dist[u, v]))
+    return tree, float(energies[best])
+
+
+def packing_lower_bound_check(
+    cloud: PointCloud, spec: DistanceSpec, eps: float, alpha: float
+) -> CheckReport:
+    """Energy floor from a packing: over the packing centers every tree edge
+    must exceed 2 eps, hence the alpha-energy of their tree is at least
+    (count - 1) (2 eps)^alpha. Reports both sides.
+    """
+    check_alphas([alpha])
+    packing = greedy_packing(cloud, spec, eps)
+    if packing.count < 2:
+        raise InputError("packing produced fewer than 2 centers, nothing to check")
+    centers = PointCloud(cloud.points[packing.center_indices])
+    lengths = build_mst_kruskal(centers, spec).length
+    min_edge = float(lengths.min())
+    (energy_value,) = energies(lengths, [alpha])
+    bound = (packing.count - 1) * (2.0 * eps) ** alpha
+    edges_ok = min_edge > 2.0 * eps
+    energy_ok = energy_value >= bound * (1.0 - 1e-12)
+    return CheckReport(
+        name="packing-lower-bound",
+        parameters={"eps": eps, "alpha": alpha, "count": packing.count},
+        passed=bool(edges_ok and energy_ok),
+        min_slack=min(min_edge - 2.0 * eps, energy_value - bound),
+        details={
+            "min_edge": min_edge,
+            "edge_threshold": 2.0 * eps,
+            "energy": energy_value,
+            "energy_bound": bound,
+        },
+    )

@@ -15,7 +15,8 @@ import pytest
 
 from conftest import record_criterion
 from mstdim.cli import main
-from mstdim.dimension import box_dimension, mst_dimension, packing_lower_bound_check
+from mstdim.dimension import box_dimension, mst_dimension
+from mstdim.energy import energies
 from mstdim.generators import ShapeFamily, builtin_shape, generate_uniform
 from mstdim.lemma_checks import lemma2_check, lemma4_check, normalized_constant
 from mstdim.metric import (
@@ -26,12 +27,8 @@ from mstdim.metric import (
     validate_quasi_metric,
     write_cloud,
 )
-from mstdim.mst import (
-    brute_force_min_tree,
-    build_mst_kruskal,
-    build_mst_prim,
-    tree_total_length,
-)
+from mstdim.mst import build_mst_kruskal, build_mst_prim
+from specs import brute_force_min_tree, packing_lower_bound_check
 
 L2 = Lp(2.0)
 REL = 1e-12
@@ -137,8 +134,8 @@ def test_criterion_1_mst_oracle_equivalence():
         n = int(rng.integers(3, 8))
         d = int(rng.integers(1, 4))
         cloud = PointCloud(rng.random((n, d)))
-        prim_total = tree_total_length(build_mst_prim(cloud, L2))
-        kruskal_total = tree_total_length(build_mst_kruskal(cloud, L2))
+        prim_total = energies(build_mst_prim(cloud, L2).length, [1.0])[0]
+        kruskal_total = energies(build_mst_kruskal(cloud, L2).length, [1.0])[0]
         _, brute = brute_force_min_tree(cloud, L2, 1.0)
         worst = max(worst, relerr(prim_total, brute), relerr(kruskal_total, brute))
     elapsed = time.monotonic() - started

@@ -440,6 +440,8 @@ _DIM_BOX = ["dim-box", "--in", "{dir}/sq.csv", "--out", "{dir}/b.json"]
         _DIM_BOX + ["--anchor", "nan"],
         _DIM_BOX + ["--anchor", "inf"],
         ["generate", "--shape", "cantor", "--size", "5", "--depth", "4", "--out", "{dir}/c.csv"],
+        ["generate", "--shape", "cantor", "--size", "9", "--out", "{dir}/c.csv"],
+        ["generate", "--shape", "grid", "--depth", "8", "--out", "{dir}/g.csv"],
         ["dim-mst", "--shape", "cantor", "--dim", "2", "--seed", "1", "--sizes", "8,16,32",
          "--alphas", "0.5", "--out", "{dir}/d.json"],
         _SCALE[:2] + ["interval", "--dim", "3"] + _SCALE[3:] + ["--sizes", "8,16", "--alphas", "1"],
@@ -471,7 +473,8 @@ _DIM_BOX = ["dim-box", "--in", "{dir}/sq.csv", "--out", "{dir}/b.json"]
          "scale-size-1", "scale-no-sizes", "dim-mst-no-alphas", "verify-lemma2-trials-negative",
          "verify-lemma4-trials-negative", "verify-thm1-trials-0",
          "dim-box-anchor-nan", "dim-box-anchor-inf",
-         "generate-size-and-depth", "dim-mst-cantor-dim-2", "scale-interval-dim-3",
+         "generate-size-and-depth", "generate-cantor-size", "generate-grid-depth",
+         "dim-mst-cantor-dim-2", "scale-interval-dim-3",
          "dim-mst-size-negative", "dim-mst-size-1", "generate-seed-negative",
          "verify-seed-negative", "dim-mst-seed-negative", "scale-seed-negative",
          "dim-mst-dim-0", "scale-dim-0", "mst-not-utf8", "dim-box-not-utf8",

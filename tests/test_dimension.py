@@ -17,13 +17,12 @@ from mstdim.dimension import (
     greedy_packing,
     least_squares_line,
     mst_dimension,
-    packing_lower_bound_check,
 )
 from mstdim.errors import EstimationError, InputError, InsufficientScalesError
 from mstdim.generators import ShapeFamily, builtin_shape, generate_grid
 from mstdim.metric import Lp, PointCloud, PowerQuasi, Snowflake, diameter
 from mstdim.mst import build_mst_prim
-from specs import Chebyshev, Counting
+from specs import Chebyshev, Counting, packing_lower_bound_check
 
 L2 = Lp(2.0)
 

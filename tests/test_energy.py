@@ -7,12 +7,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mstdim import cli, dimension, lemma_checks
-from mstdim.dimension import mst_dimension, packing_lower_bound_check
+from mstdim.dimension import mst_dimension
 from mstdim.energy import check_alphas, energies, energy
 from mstdim.errors import InputError
 from mstdim.generators import ShapeFamily, builtin_shape, generate_uniform
 from mstdim.metric import Lp, PointCloud, diameter
 from mstdim.mst import SpanningTree, build_mst_prim, build_mst_kruskal
+from specs import packing_lower_bound_check
 
 L2 = Lp(2.0)
 

@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mstdim import mst
+from mstdim.energy import energies
 from mstdim.errors import InputError
 from mstdim.generators import builtin_shape, generate_grid, generate_uniform
 from mstdim.metric import Lp, PointCloud, PowerQuasi, Snowflake, _CellPairs
@@ -14,17 +15,14 @@ from mstdim.mst import (
     SpanningTree,
     _canonical_order,
     _join,
-    _prufer_edges,
-    brute_force_min_tree,
     build_mst_kruskal,
     build_mst_prim,
     tree_from_text,
     tree_to_text,
     read_tree,
-    tree_total_length,
     write_tree,
 )
-from specs import Chebyshev, Counting, kruskal_join
+from specs import Chebyshev, Counting, _prufer_edges, brute_force_min_tree, kruskal_join
 
 L2 = Lp(2.0)
 
@@ -87,8 +85,8 @@ def test_unit_square_against_subset_oracle():
     prim = build_mst_prim(cloud, L2)
     kruskal = build_mst_kruskal(cloud, L2)
     assert sorted(e[2] for e in prim.edges) == [1.0, 1.0, 1.0]
-    assert tree_total_length(prim) == pytest.approx(3.0, rel=1e-12)
-    assert tree_total_length(kruskal) == pytest.approx(3.0, rel=1e-12)
+    assert energies(prim.length, [1.0])[0] == pytest.approx(3.0, rel=1e-12)
+    assert energies(kruskal.length, [1.0])[0] == pytest.approx(3.0, rel=1e-12)
 
     bf_tree, bf_energy = brute_force_min_tree(cloud, L2, 1.0)
     assert bf_energy == pytest.approx(3.0, rel=1e-12)
@@ -102,7 +100,7 @@ def test_single_point_tree():
     cloud = PointCloud([[0.5, 0.5]])
     tree = build_mst_prim(cloud, L2)
     assert tree.edges == [] and tree.insertion_rank == [0]
-    assert tree_total_length(tree) == 0.0
+    assert energies(tree.length, [1.0])[0] == 0.0
     assert build_mst_kruskal(cloud, L2).edges == []
 
 
@@ -110,7 +108,7 @@ def test_two_points():
     cloud = PointCloud([[0.0], [5.0]])
     tree = build_mst_prim(cloud, L2)
     assert tree.edges == [(0, 1, 5.0)]
-    assert tree_total_length(tree) == 5.0
+    assert energies(tree.length, [1.0])[0] == 5.0
 
 
 def test_prim_root_validation():
@@ -125,7 +123,7 @@ def test_equilateral_total_length():
     h = math.sqrt(3.0) / 2.0
     cloud = PointCloud([[0.0, 0.0], [1.0, 0.0], [0.5, h]])
     tree = build_mst_kruskal(cloud, L2)
-    assert tree_total_length(tree) == pytest.approx(2.0, rel=1e-12)
+    assert energies(tree.length, [1.0])[0] == pytest.approx(2.0, rel=1e-12)
     again = build_mst_kruskal(cloud, L2)
     assert again.edges == tree.edges  # deterministic pick among near-ties
 
@@ -152,8 +150,8 @@ def test_exact_tie_break_on_right_triangle():
 def test_prim_kruskal_total_agreement(seed, n, d, spec_idx):
     spec = [Lp(2.0), Lp(1.0), PowerQuasi(Lp(2.0), 2.0)][spec_idx]
     cloud = PointCloud(np.random.default_rng(seed).random((n, d)))
-    a = tree_total_length(build_mst_prim(cloud, spec))
-    b = tree_total_length(build_mst_kruskal(cloud, spec))
+    a = energies(build_mst_prim(cloud, spec).length, [1.0])[0]
+    b = energies(build_mst_kruskal(cloud, spec).length, [1.0])[0]
     assert a == pytest.approx(b, rel=1e-12)
 
 
@@ -168,8 +166,8 @@ def test_prim_kruskal_equal_edge_sets_distinct_distances():
 
 def test_agreement_on_tied_grid():
     cloud = generate_grid(5, 2)
-    a = tree_total_length(build_mst_prim(cloud, L2))
-    b = tree_total_length(build_mst_kruskal(cloud, L2))
+    a = energies(build_mst_prim(cloud, L2).length, [1.0])[0]
+    b = energies(build_mst_kruskal(cloud, L2).length, [1.0])[0]
     assert a == pytest.approx(b, rel=1e-12) == pytest.approx(24 * 0.25, rel=1e-12)
 
 
@@ -215,7 +213,7 @@ def test_prufer_bijection_counts():
 def test_kruskal_matches_brute_force_e1(seed, n):
     cloud = PointCloud(np.random.default_rng(seed).random((n, 2)))
     _, best = brute_force_min_tree(cloud, L2, 1.0)
-    assert tree_total_length(build_mst_kruskal(cloud, L2)) == pytest.approx(
+    assert energies(build_mst_kruskal(cloud, L2).length, [1.0])[0] == pytest.approx(
         best, rel=1e-12
     )
 
@@ -320,7 +318,7 @@ def test_zero_length_edges_sort_first():
     assert lengths[0] == 0.0 and lengths[1] == 0.0
     assert tree_is_spanning(tree)
     prim = build_mst_prim(cloud, L2)
-    assert tree_total_length(prim) == pytest.approx(1.0, rel=1e-12)
+    assert energies(prim.length, [1.0])[0] == pytest.approx(1.0, rel=1e-12)
 
 
 def test_quasi_metric_trees():
@@ -588,7 +586,16 @@ def test_builder_work_bound(name):
     assert_canonical(cloud, L2)
 
 
-@pytest.mark.parametrize("name, per_point", [("line-in-3d", 32), ("duplicated-4x", 1024)])
+@pytest.mark.parametrize("spec", [L2, PowerQuasi(L2, 2.0)], ids=["l2", "powerquasi"])
+@pytest.mark.parametrize("name", ["far-outlier", "two-far-clusters", "blob-in-square"])
+def test_prim_stage_edges_follow_the_rounds(name, spec):
+    # At 300 points two-far-clusters leaves the Prim stage a forest of two
+    # trees, the others leave it singletons: either way Prim's edges, sorted
+    # alone, come after the rounds' edges.
+    assert_canonical(PointCloud(_adversarial_clouds(300)[name]), spec)
+
+
+@pytest.mark.parametrize("name, per_point",[("line-in-3d", 32), ("duplicated-4x", 1024)])
 def test_candidate_rounds_work_bound(name, per_point):
     # Measured: line-in-3d takes 23.3 evaluations per point, 61.9 if later
     # rounds also measure the pairs inside one component; duplicated-4x takes
