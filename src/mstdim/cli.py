@@ -156,21 +156,28 @@ def cmd_energy(args) -> int:
 # ------------------------------------------------------------------ dim-box
 
 
+def _report_estimate(manifest, args, estimate, summary, table_csv) -> int:
+    """Print the estimate's value and the ``summary`` line, then write its
+    record to ``--out`` and ``table_csv(estimate)`` to ``--csv`` if given."""
+    print(format_float(estimate.value))
+    print(summary)
+    if args.out:
+        _write_output(manifest, args.out, estimate.to_text() + "\n")
+    if args.csv:
+        _write_output(manifest, args.csv, table_csv(estimate))
+    return 0
+
+
 def cmd_dim_box(args) -> int:
     spec = spec_from_string(args.metric)
     cloud = read_cloud(args.infile)
     manifest = _manifest("dim-box", args, None, inputs=[args.infile])
     estimate = box_dimension(cloud, spec, ratio=args.ratio, anchor=args.anchor)
-    print(format_float(estimate.value))
-    print(
+    summary = (
         f"scales used {len(estimate.fit_points)}, r2 {estimate.r_squared:.6f}, "
         f"window {estimate.window}"
     )
-    if args.out:
-        _write_output(manifest, args.out, estimate.to_text() + "\n")
-    if args.csv:
-        _write_output(manifest, args.csv, eps_count_csv(estimate))
-    return 0
+    return _report_estimate(manifest, args, estimate, summary, eps_count_csv)
 
 
 # ------------------------------------------------------------------ dim-mst
@@ -187,17 +194,12 @@ def cmd_dim_mst(args) -> int:
         alphas=_parse_list(args.alphas, float),
         seed=args.seed,
     )
-    print(format_float(estimate.value))
     crossover = estimate.details.get("crossover_alpha")
-    print(
+    summary = (
         f"median slope {estimate.slope:.4f}, min r2 {estimate.r_squared:.6f}, "
         f"crossover alpha {crossover}, window {estimate.window}"
     )
-    if args.out:
-        _write_output(manifest, args.out, estimate.to_text() + "\n")
-    if args.csv:
-        _write_output(manifest, args.csv, energy_table_csv(estimate))
-    return 0
+    return _report_estimate(manifest, args, estimate, summary, energy_table_csv)
 
 
 # ------------------------------------------------------------------- verify

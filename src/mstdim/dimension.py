@@ -4,12 +4,12 @@ Two estimators that theory says must agree:
 
 * ``box_dimension``: greedy ball packings at a geometric cascade of scales,
   then a log-log regression of packing count against inverse scale. Each
-  packing reads one cell grid: at the fine scales, where it holds at most 16
-  pairs per point, every pair is measured once through ``spec.pairs``; at
-  the coarse scales each center makes one ``one_to_many`` call. The grid
-  is ``metric._CellPairs``, the one the tree builder reads. Its window and
-  scale cap are the constants ``BOX_MIN_COUNT``, ``BOX_MAX_FRACTION`` and
-  ``BOX_MAX_SCALES``.
+  packing reads one cell grid and its exact pair count: at the fine scales,
+  where it holds at most 16 pairs per point, every pair is measured once
+  through ``spec.pairs``; at the coarse scales each center makes one
+  ``one_to_many`` call. The grid is ``metric._CellPairs``, the one the tree
+  builder reads. Its window and scale cap are the constants
+  ``BOX_MIN_COUNT``, ``BOX_MAX_FRACTION`` and ``BOX_MAX_SCALES``.
 * ``mst_dimension``: growth-rate regression of tree energies against sample
   size across a generator family, inverted through d = alpha / (1 - slope).
   Its replicate count, slope band and crossover slope are the constants
@@ -94,12 +94,12 @@ def greedy_packing(cloud: PointCloud, spec: DistanceSpec, eps: float) -> Packing
     The scan is driven by centers: the first point not yet within 2 eps of a
     center is the next center, and it evicts every point within 2 eps of it.
     Candidates come from one cell grid, ``metric._CellPairs`` for 2 eps,
-    whose neighbouring cells hold every pair within 2 eps. Where the grid
-    holds at most ``_PACK_PAIRS`` (16) pairs per point, its ``blocks``
-    measure each pair once through ``spec.pairs`` before the scan, and a
-    center evicts its later conflicts by one slice; otherwise each center
-    makes one ``one_to_many`` call over the live points the grid's ``near``
-    lists. Entry i of ``pairs`` equals ``one_to_many`` bit for bit and specs
+    whose neighbouring cells hold every pair within 2 eps; its table of
+    occupied cells counts those pairs exactly. Where the grid holds at most
+    ``_PACK_PAIRS`` (16) pairs per point, its ``blocks`` measure each pair
+    once through ``spec.pairs`` before the scan, and a center evicts its
+    later conflicts by one slice; otherwise each center makes one
+    ``one_to_many`` call over the live points the grid's ``near`` lists. Entry i of ``pairs`` equals ``one_to_many`` bit for bit and specs
     are exactly symmetric, so either way each distance is the one a
     point-by-point scan computes, and the centers are the same, in order.
     """
@@ -108,7 +108,7 @@ def greedy_packing(cloud: PointCloud, spec: DistanceSpec, eps: float) -> Packing
     pts = cloud.points
     threshold = 2.0 * eps
     limit = _PACK_PAIRS * cloud.n
-    cells = _CellPairs(pts, spec, threshold, limit)
+    cells = _CellPairs(pts, spec, threshold)
     live = bytearray(b"\x01") * cloud.n
     live_view = np.frombuffer(live, dtype=np.uint8)
     if cells.total <= limit:

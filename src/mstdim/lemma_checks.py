@@ -46,9 +46,6 @@ TOL = 1e-12
 # the last third of sizes may exceed the mean of the first third by.
 THEOREM1_THRESHOLD = 1.0
 THEOREM1_TREND_FACTOR = 1.1
-# lemma2 compares all edge midpoints pairwise in row blocks of about this many
-# coordinate differences (32 MiB of float64), not as one m x m x d array.
-LEMMA2_BLOCK_ELEMENTS = 1 << 22
 
 
 def lemma1_sweep(trials: int, d: int, seed: int) -> CheckReport:
@@ -106,28 +103,21 @@ def lemma2_check(cloud: PointCloud, tree: SpanningTree) -> CheckReport:
     pair the midpoints must be at least (len_e + len_f)/10 apart.
 
     Edge midpoints are taken in coordinates, which only matches ball centers
-    under the l2 metric: the tree must be built under l2.
+    under the l2 metric: the tree must be built under l2. Each edge's row of
+    ``Lp(2.0).one_to_many`` measures its midpoint against the later edges'.
     """
     m = len(tree.length)
     min_slack, worst_pair = None, None
-    if m >= 2:
-        pts, lengths = cloud.points, tree.length
-        mids = (pts[tree.u] + pts[tree.v]) / 2.0
-        # row-major blocks with a strict < keep the first minimum of the triangle
-        rows = max(1, LEMMA2_BLOCK_ELEMENTS // (m * mids.shape[1]))
-        for r0 in range(0, m - 1, rows):
-            r1 = min(r0 + rows, m - 1)
-            diff = mids[r0:r1, None, :] - mids[None, r0 + 1 :, :]
-            mid_dist = np.sqrt((diff**2).sum(-1))
-            required = (lengths[r0:r1, None] + lengths[None, r0 + 1 :]) / 10.0
-            slack = mid_dist - required
-            # column c of the block is edge r0 + 1 + c; keep only j > i
-            slack[np.tril_indices(r1 - r0, k=-1, m=slack.shape[1])] = np.inf
-            k = int(np.argmin(slack))
-            if worst_pair is None or slack.flat[k] < min_slack:
-                min_slack = float(slack.flat[k])
-                i, c = divmod(k, slack.shape[1])
-                worst_pair = [r0 + i, r0 + 1 + c]
+    pts, lengths = cloud.points, tree.length
+    mids = (pts[tree.u] + pts[tree.v]) / 2.0
+    l2 = Lp(2.0)
+    for i in range(m - 1):
+        slack = l2.one_to_many(mids[i], mids[i + 1 :])
+        slack -= (lengths[i] + lengths[i + 1 :]) / 10.0
+        k = int(np.argmin(slack))
+        # a strict < keeps the first minimum in row-major triangle order
+        if worst_pair is None or slack[k] < min_slack:
+            min_slack, worst_pair = float(slack[k]), [i, i + 1 + k]
     return CheckReport(
         name="lemma2",
         parameters={"n": cloud.n, "edges": m, "tol": TOL},

@@ -333,18 +333,20 @@ class _CellPairs:
     """The cell grid for computed distances <= ``radius`` under ``spec``:
     cells of side just above ``spec.coordinate_radius(radius)`` on the
     leading coordinates, so two points within ``radius`` lie in neighbouring
-    cells. ``total`` counts the unordered pairs of points in neighbouring
-    cells (or stops at a count above ``limit``), ``blocks`` measures them
-    and ``near`` lists the points next to one point.
+    cells. ``total`` is the exact count of unordered pairs of points in
+    neighbouring cells, ``blocks`` measures them and ``near`` lists the
+    points next to one point.
 
     Cell keys: the last keyed axis has stride 1, so the 3**k neighbours of
     key K are the 3**(k-1) runs of consecutive keys ``[K + runs[2j],
-    K + runs[2j + 1])``. An axis with no finite positive side is dropped,
-    which only merges cells. ``order`` is the stable sort of the keys and
-    ``sorted_key`` the keys in that order.
+    K + runs[2j + 1])``, the middle one holding K. An axis with no finite
+    positive side is dropped, which only merges cells. ``order`` is the
+    stable sort of the keys. The occupied cells are numbered in key order:
+    ``cell[i]`` is point i's, and row c of ``table`` holds the sorted
+    positions that bound cell c's runs, laid out like ``runs``.
     """
 
-    def __init__(self, pts, spec, radius, limit):
+    def __init__(self, pts, spec, radius):
         self.pts, self.spec = pts, spec
         coords = pts[:, :_GRID_AXES]
         lo_corner = coords.min(axis=0)
@@ -369,36 +371,42 @@ class _CellPairs:
         # keys a run (one key if no axis is keyed: a single cell)
         trio = offsets.reshape(-1, min(3, offsets.size))
         self.runs = runs = np.stack([trio[:, 0], trio[:, -1] + 1], axis=1).ravel()
-        self.key = key
         self.order = np.argsort(key, kind="stable").astype(np.int32)  # 4-byte candidates
-        self.sorted_key = key = key[self.order]
-        # per chunk of sorted positions from ``first``: the start and the
-        # length of the later positions in each key run, one row per position
-        self.chunks = []
-        self.total = 0
-        for first in range(0, len(key), _CHUNK_POINTS):
-            rows = key[first : first + _CHUNK_POINTS]
-            # sorted needles search faster: one row per run, then transposed
-            lo = np.searchsorted(key, rows + runs[0::2, None]).T
-            count = np.searchsorted(key, rows + runs[1::2, None]).T
-            np.maximum(lo, np.arange(first + 1, first + 1 + len(rows))[:, None], out=lo)
-            count -= lo
-            np.maximum(count, 0, out=count)
-            self.chunks.append((first, lo.astype(np.int32), count.astype(np.int32)))
-            self.total += int(count.sum())
-            if self.total > limit:
-                break
+        key = key[self.order]
+        head = np.empty(len(key), dtype=bool)  # the first position of a cell
+        head[0] = True
+        np.not_equal(key[1:], key[:-1], out=head[1:])
+        at = np.cumsum(head)
+        at -= 1  # the cell of each sorted position
+        self.cell = np.empty(len(key), dtype=np.int32)
+        self.cell[self.order] = at
+        # sorted needles search faster: one row per run bound, then transposed
+        bounds = np.searchsorted(key, key[head] + runs[:, None]).astype(np.int32)
+        self.table = np.ascontiguousarray(bounds.T)
+        # sorted position s of cell c has ahead[c] - s - 1 later positions in
+        # c's runs: [s + 1, end) of the middle run and all of each later run
+        mid = runs.size // 2
+        ahead = bounds[mid::2].sum(axis=0)
+        ahead -= bounds[mid + 1 :: 2].sum(axis=0)
+        self.total = int(ahead.take(at).sum()) - len(key) * (len(key) + 1) // 2
 
     def blocks(self, label=None):
         """(i, j, distance) arrays of at most about _BLOCK_PAIRS pairs each,
         every pair once: sorted position s pairs with the later positions of
         its key runs, and ``spec.pairs`` measures it. Given ``label``, only the
         pairs whose endpoints have different labels are kept, before they are
-        measured. The ranges are freed as they are spent, so this runs once.
+        measured. The earlier runs hold no later position, so only the runs
+        from the middle one on are read.
         """
         pts, spec, order = self.pts, self.spec, self.order
-        while self.chunks:
-            first, lo, count = self.chunks.pop(0)
+        forward = self.table[:, self.runs.size // 2 - 1 :]  # from the middle run on
+        for first in range(0, len(order), _CHUNK_POINTS):
+            # per sorted position from ``first``: the start and the length of
+            # its later positions in each run
+            rows = forward.take(self.cell.take(order[first : first + _CHUNK_POINTS]), axis=0)
+            lo, count = rows[:, 0::2], rows[:, 1::2]
+            lo[:, 0] = np.arange(first + 1, first + 1 + len(rows))
+            count -= lo
             per_point = count.sum(axis=1)
             ends = np.cumsum(per_point)
             start = 0
@@ -425,9 +433,9 @@ class _CellPairs:
 
     def near(self, i):
         """The points in the cells next to point i, i among them."""
-        ends = np.searchsorted(self.sorted_key, self.key[i] + self.runs).tolist()
+        row = self.table[self.cell[i]].tolist()
         order = self._near_order
-        return np.concatenate([order[a:b] for a, b in zip(ends[0::2], ends[1::2]) if a < b])
+        return np.concatenate([order[a:b] for a, b in zip(row[0::2], row[1::2]) if a < b])
 
 
 def _kd_pyramid(pts: np.ndarray):
@@ -555,7 +563,7 @@ def _closest_distance(pts, spec, radius) -> float:
     every pair. The next pass runs at twice the radius, or at the least value
     found if smaller (sure to end)."""
     while True:
-        cells = _CellPairs(pts, spec, radius, math.inf)
+        cells = _CellPairs(pts, spec, radius)
         least = min((float(d.min()) for _, _, d in cells.blocks()), default=math.inf)
         if least <= radius or 2 * cells.total == len(pts) * (len(pts) - 1):
             return least

@@ -108,18 +108,6 @@ class SpanningTree:
         """The (u, v, length) triples, made on each call."""
         return list(zip(self.u.tolist(), self.v.tolist(), self.length.tolist()))
 
-    def __eq__(self, other):
-        if not isinstance(other, SpanningTree):
-            return NotImplemented
-        return (self.n, self.builder, self.edges, self.insertion_rank) == (
-            other.n,
-            other.builder,
-            other.edges,
-            other.insertion_rank,
-        )
-
-    __hash__ = None
-
     def __repr__(self) -> str:
         return f"SpanningTree(n={self.n}, builder={self.builder!r})"
 
@@ -265,7 +253,7 @@ def _canonical_tree(pts, spec):
     need = n - 1
     radius = _first_radius(pts, spec)
     limit = _ROUND_PAIRS * n
-    cells = _CellPairs(pts, spec, radius, limit)
+    cells = _CellPairs(pts, spec, radius)
     waste = 0
     while cells.total <= limit and waste <= _WASTE_PAIRS * n:
         parts = [_NO_EDGES]
@@ -293,13 +281,14 @@ def _canonical_tree(pts, spec):
         outside = n - int(np.bincount(label).max())
         if outside * n <= _PRIM_PAIRS * cells.total:
             break  # growing the largest component by Prim costs less
-        # a grid that overflows the limit stops counting, so it costs little
+        # a grid's exact count needs only its key sort and its table of
+        # occupied cells, so a grid over the limit costs little
         for growth in _GROWTH:
-            cells = _CellPairs(pts, spec, radius * growth, limit)
+            cells = _CellPairs(pts, spec, radius * growth)
             if cells.total <= limit:
                 break
         radius *= growth
-    del cells  # the Prim stage needs no ranges
+    del cells  # the Prim stage needs no grid
     if need:
         # every pair within the last radius lies in one component: Prim's
         # edges are longer than every round's, so only they need sorting

@@ -234,12 +234,13 @@ def test_weak_triangle_constant_past_the_float_range_is_inf():
 @pytest.mark.parametrize("d", [1, 2, 3, 5])
 def test_cell_keys_count_their_keyed_axes(d):
     pts = np.random.default_rng(d).random((50, d))
-    runs = _CellPairs(pts, L2, 0.1, math.inf).runs
+    runs = _CellPairs(pts, L2, 0.1).runs
     # the runs cover the 3**k neighbour cells of k keyed axes
     assert int((runs[1::2] - runs[0::2]).sum()) == 3 ** min(d, 3)
     # an infinite cell side keys no axis: one cell
-    cells = _CellPairs(pts, L2, math.inf, math.inf)
-    assert cells.runs.tolist() == [0, 1] and not cells.key.any()
+    cells = _CellPairs(pts, L2, math.inf)
+    assert cells.runs.tolist() == [0, 1] and not cells.cell.any()
+    assert cells.table.tolist() == [[0, 50]] and cells.total == 50 * 49 // 2
 
 
 ALL_SPECS = [

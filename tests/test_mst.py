@@ -460,11 +460,15 @@ def test_cell_pairs_cover_every_close_pair_once(seed, n, d, spec_idx, radius):
     spec = TREE_SPECS[spec_idx]
     rng = np.random.default_rng(seed)
     pts = rng.integers(0, 5, (n, d)) * 0.25
-    cells = _CellPairs(pts, spec, radius, math.inf)
+    cells = _CellPairs(pts, spec, radius)
     blocks = list(cells.blocks())
     found = [(min(i, j), max(i, j)) for a, b, _ in blocks for i, j in zip(a.tolist(), b.tolist())]
     assert len(found) == len(set(found))
     assert all(i != j for i, j in found)
+    # the count is exact, and the grid can be read again
+    assert cells.total == len(found)
+    again = [(min(i, j), max(i, j)) for a, b, _ in cells.blocks() for i, j in zip(a, b)]
+    assert again == found
     within = [
         {j for j in range(n) if spec.one_to_many(pts[i], pts[j : j + 1])[0] <= radius}
         for i in range(n)
@@ -481,7 +485,7 @@ def test_cell_pairs_cover_every_close_pair_once(seed, n, d, spec_idx, radius):
     label = rng.integers(0, 3, n).astype(np.int32)
     kept = [
         (min(i, j), max(i, j))
-        for a, b, _ in _CellPairs(pts, spec, radius, math.inf).blocks(label)
+        for a, b, _ in cells.blocks(label)
         for i, j in zip(a.tolist(), b.tolist())
     ]
     assert sorted(kept) == sorted(p for p in found if label[p[0]] != label[p[1]])
