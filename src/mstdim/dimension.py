@@ -6,10 +6,11 @@ Two estimators that theory says must agree:
   then a log-log regression of packing count against inverse scale. Each
   packing reads one cell grid and its exact pair count: at the fine scales,
   where it holds at most 16 pairs per point, every pair is measured once
-  through ``spec.pairs``; at the coarse scales each center makes one
-  ``one_to_many`` call. The grid is ``metric._CellPairs``, the one the tree
-  builder reads. Its window and scale cap are the constants
-  ``BOX_MIN_COUNT``, ``BOX_MAX_FRACTION`` and ``BOX_MAX_SCALES``.
+  through ``spec.pairs``; at the coarse scales the points are resolved a
+  prefix batch of 64 at a time, also through ``spec.pairs``. The grid is
+  ``metric._CellPairs``, the one the tree builder reads. Its window and
+  scale cap are the constants ``BOX_MIN_COUNT``, ``BOX_MAX_FRACTION`` and
+  ``BOX_MAX_SCALES``.
 * ``mst_dimension``: growth-rate regression of tree energies against sample
   size across a generator family, inverted through d = alpha / (1 - slope).
   Its replicate count, slope band and crossover slope are the constants
@@ -34,7 +35,7 @@ import numpy as np
 from .energy import check_alphas, energies
 from .errors import EstimationError, InputError, InsufficientScalesError
 from .generators import ShapeFamily
-from .metric import DistanceSpec, PointCloud, _CellPairs, diameter
+from .metric import DistanceSpec, PointCloud, _CellPairs, _run_positions, diameter
 from .mst import build_mst_kruskal
 from .reports import _jsonable, format_float
 
@@ -62,9 +63,15 @@ BOX_MIN_COUNT = 8
 BOX_MAX_FRACTION = 0.125
 BOX_MAX_SCALES = 60
 # Greedy packing measures every candidate pair of its grid once, in place of
-# one kernel call per center, when the grid holds at most this many pairs per
-# point.
+# the prefix batches, when the grid holds at most this many pairs per point.
 _PACK_PAIRS = 16
+# Prefix batches: at most this many live points per batch (a row of the
+# batch's triangle packs into one 8-byte word), found among this many
+# positions from the first live point, and at most this many candidate pairs
+# per eviction call.
+_BATCH_POINTS = 64
+_BATCH_WINDOW = 1 << 10
+_EVICT_PAIRS = 1 << 14
 
 
 @dataclass
@@ -91,48 +98,116 @@ def greedy_packing(cloud: PointCloud, spec: DistanceSpec, eps: float) -> Packing
     The count is a maximal-packing size, a deterministic lower bound on the
     true maximum packing number at the same scale.
 
-    The scan is driven by centers: the first point not yet within 2 eps of a
-    center is the next center, and it evicts every point within 2 eps of it.
     Candidates come from one cell grid, ``metric._CellPairs`` for 2 eps,
     whose neighbouring cells hold every pair within 2 eps; its table of
     occupied cells counts those pairs exactly. Where the grid holds at most
     ``_PACK_PAIRS`` (16) pairs per point, its ``blocks`` measure each pair
-    once through ``spec.pairs`` before the scan, and a center evicts its
-    later conflicts by one slice; otherwise each center makes one
-    ``one_to_many`` call over the live points the grid's ``near`` lists. Entry i of ``pairs`` equals ``one_to_many`` bit for bit and specs
-    are exactly symmetric, so either way each distance is the one a
-    point-by-point scan computes, and the centers are the same, in order.
+    once through ``spec.pairs`` before the scan, and each center evicts its
+    later conflicts by one slice. Otherwise ``_batch_scan`` resolves the
+    points a prefix batch at a time. Entry i of ``pairs`` equals
+    ``one_to_many`` bit for bit and specs are exactly symmetric, so either
+    way each distance is the one a point-by-point scan computes, and the
+    centers are the same, in order.
     """
     if not eps > 0:
         raise InputError("eps must be > 0")
-    pts = cloud.points
     threshold = 2.0 * eps
-    limit = _PACK_PAIRS * cloud.n
-    cells = _CellPairs(pts, spec, threshold)
+    cells = _CellPairs(cloud.points, spec, threshold)
+    if cells.total > _PACK_PAIRS * cloud.n:
+        return PackingResult(eps=eps, center_indices=_batch_scan(cells, threshold))
+    blocks = cells.blocks()
+    del cells  # freed once the blocks are spent, before they are joined
+    start, later = _conflicts(blocks, threshold, cloud.n)
     live = bytearray(b"\x01") * cloud.n
     live_view = np.frombuffer(live, dtype=np.uint8)
-    if cells.total <= limit:
-        blocks = cells.blocks()
-        del cells  # freed once the blocks are spent, before they are joined
-        start, later = _conflicts(blocks, threshold, cloud.n)
-
-        def conflicts(i):
-            return later[start[i] : start[i + 1]]
-
-    else:
-
-        def conflicts(i):
-            cand = cells.near(i)
-            cand = cand[live_view[cand].view(bool)]
-            return cand[~(spec.one_to_many(pts[i], pts[cand]) > threshold)]
-
     kept = []
     i = 0
     while i >= 0:
         kept.append(i)
-        live_view[conflicts(i)] = 0
+        live_view[later[start[i] : start[i + 1]]] = 0
         i = live.find(1, i + 1)
     return PackingResult(eps=eps, center_indices=kept)
+
+
+def _batch_scan(cells, threshold) -> list:
+    """The first-come centers at ``threshold`` of the points of the grid
+    ``cells``, resolved a prefix batch at a time (the prefix scan of
+    Blelloch, Fineman and Shun, SPAA 2012).
+
+    A batch is the next live points in index order: those among the
+    ``_BATCH_WINDOW`` positions from the first live point, at most
+    ``_BATCH_POINTS`` of them. Every live point lies beyond 2 eps of every
+    earlier center, and every live point before the batch's last member is
+    in the batch, so the batch's own conflicts decide its centers. One
+    ``spec.pairs`` call measures its k (k - 1) / 2 pairs, the later point as
+    ``lhs``, so each entry is ``one_to_many`` from the earlier point bit for
+    bit. Each member's earlier far points become one bitset, and a member is
+    a center iff its bitset covers the centers before it. The batch is then
+    dead, and ``_evict`` clears the centers' live neighbours."""
+    pts, spec = cells.pts, cells.spec
+    live = bytearray(b"\x01") * len(pts)
+    live_view = np.frombuffer(live, dtype=np.uint8)
+    # row by row: a batch of k members takes the first k (k - 1) / 2 pairs
+    later, earlier = np.tril_indices(_BATCH_POINTS, -1)
+    entry = later * _BATCH_POINTS + earlier
+    kept = []
+    i = 0
+    while i >= 0:
+        batch = np.flatnonzero(live_view[i : i + _BATCH_WINDOW])[:_BATCH_POINTS]
+        batch += i
+        # far[t, s] for s < t: member s lies beyond 2 eps of member t
+        far = np.zeros(_BATCH_POINTS * _BATCH_POINTS, dtype=bool)
+        size = len(batch) * (len(batch) - 1) // 2
+        if size:
+            lhs, rhs = batch.take(later[:size]), batch.take(earlier[:size])
+            far[entry[:size]] = spec.pairs(pts.take(lhs, 0), pts.take(rhs, 0)) > threshold
+        rows = np.packbits(far, bitorder="little").view("<u8").tolist()
+        chosen, picked = 0, []
+        for t in range(len(batch)):
+            if not chosen & ~rows[t]:
+                chosen |= 1 << t
+                picked.append(t)
+        centers = batch.take(picked)
+        kept += centers.tolist()
+        live_view[batch] = 0
+        _evict(cells, centers, threshold, live_view)
+        i = live.find(1, batch[-1] + 1)
+    return kept
+
+
+def _evict(cells, centers, threshold, live_view):
+    """Clear in ``live_view`` every live point within ``threshold`` of one
+    of ``centers``, all earlier than every live point. The candidates are the
+    centers' neighbour runs from the grid's ``table``, taken a chunk of at
+    most ``_EVICT_PAIRS`` sorted positions at a time (a longer run is cut
+    into pieces first); the dead ones are dropped before one ``spec.pairs``
+    call measures the chunk, the candidate as ``lhs``."""
+    pts, spec, order = cells.pts, cells.spec, cells.order
+    rows = cells.table.take(cells.cell.take(centers), axis=0)
+    lo = rows[:, 0::2].ravel()
+    count = rows[:, 1::2].ravel() - lo
+    source = np.repeat(centers, rows.shape[1] // 2)
+    if count.max() > _EVICT_PAIRS:
+        pieces = -(-count // _EVICT_PAIRS)
+        run = np.repeat(np.arange(count.size), pieces)
+        offset = _run_positions(0, pieces) * _EVICT_PAIRS
+        lo = lo.take(run) + offset
+        count = np.minimum(count.take(run) - offset, _EVICT_PAIRS)
+        source = source.take(run)
+    ends = np.cumsum(count)
+    start = 0
+    while start < ends.size:
+        done = int(ends[start - 1]) if start else 0
+        stop = int(np.searchsorted(ends, done + _EVICT_PAIRS, "right"))
+        runs = count[start:stop]
+        cand = order.take(_run_positions(lo[start:stop], runs))
+        alive = np.flatnonzero(live_view.take(cand).view(bool))
+        if alive.size:
+            cand = cand.take(alive)
+            center = np.repeat(source[start:stop], runs).take(alive)
+            distance = spec.pairs(pts.take(cand, 0), pts.take(center, 0))
+            live_view[cand.take(np.flatnonzero(~(distance > threshold)))] = 0
+        start = stop
 
 
 def _conflicts(blocks, threshold, n):

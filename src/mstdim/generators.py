@@ -133,7 +133,9 @@ def builtin_shape(name: str, size: int, dim: int | None = None, seed: int = 0):
             pts = np.concatenate([ratio * pts + offset for offset in offsets])
         pts = pts[np.lexsort(pts.T[::-1])]
         fresh = np.ones(len(pts), dtype=bool)
-        fresh[1:] = (pts[1:] != pts[:-1]).any(axis=1)
+        np.not_equal(pts[1:, 0], pts[:-1, 0], out=fresh[1:])
+        for k in range(1, d):  # per column: faster than any(axis=1)
+            fresh[1:] |= pts[1:, k] != pts[:-1, k]
         return PointCloud(pts[fresh]), math.log(m) / math.log(1.0 / ratio)
     raise InputError(f"unknown shape {name!r}, expected one of {SHAPE_NAMES}")
 

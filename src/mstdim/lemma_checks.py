@@ -159,7 +159,9 @@ def lemma4_check(
         # a long edge between two chosen vertices bounds the closest pair:
         # searching from its length up, the first pass finds it
         radius = 2.0 * threshold
-        inner = tree.length[long][np.isin(tree.u[long], chosen)]
+        mark = np.zeros(cloud.n, dtype=bool)
+        mark[chosen] = True
+        inner = tree.length[long][mark[tree.u[long]]]
         if inner.size:
             radius = max(radius, float(inner.min()))
         min_dist = _closest_distance(cloud.points[chosen], spec, radius)

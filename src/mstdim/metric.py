@@ -19,7 +19,6 @@ All oracles are pure functions of their arguments and exactly symmetric.
 
 from __future__ import annotations
 
-import functools
 import io
 import math
 from dataclasses import dataclass
@@ -73,7 +72,7 @@ class PointCloud:
         if not np.all(np.isfinite(pts)):
             raise InputError("all coordinates must be finite")
         with np.errstate(over="ignore"):  # coordinate differences must be finite too
-            if not np.all(np.isfinite(pts.max(axis=0) - pts.min(axis=0))):
+            if not all(math.isfinite(c.max() - c.min()) for c in pts.T):
                 raise InputError("coordinate spans must be finite (a difference overflows)")
         pts = np.ascontiguousarray(pts)
         pts.flags.writeable = False
@@ -334,8 +333,8 @@ class _CellPairs:
     cells of side just above ``spec.coordinate_radius(radius)`` on the
     leading coordinates, so two points within ``radius`` lie in neighbouring
     cells. ``total`` is the exact count of unordered pairs of points in
-    neighbouring cells, ``blocks`` measures them and ``near`` lists the
-    points next to one point.
+    neighbouring cells and ``blocks`` measures them; greedy packing reads
+    the neighbour runs of its centers from ``table`` itself.
 
     Cell keys: the last keyed axis has stride 1, so the 3**k neighbours of
     key K are the 3**(k-1) runs of consecutive keys ``[K + runs[2j],
@@ -343,17 +342,18 @@ class _CellPairs:
     positive side is dropped, which only merges cells. ``order`` is the
     stable sort of the keys. The occupied cells are numbered in key order:
     ``cell[i]`` is point i's, and row c of ``table`` holds the sorted
-    positions that bound cell c's runs, laid out like ``runs``.
+    positions that bound cell c's runs, laid out like ``runs``
+    (``_run_positions`` lists a run's positions). The lowest corner and the
+    extent of the keyed coordinates are taken one column at a time, which on
+    a few columns is several times faster than ``min(axis=0)``.
     """
 
     def __init__(self, pts, spec, radius):
         self.pts, self.spec = pts, spec
         coords = pts[:, :_GRID_AXES]
-        lo_corner = coords.min(axis=0)
-        side = np.maximum(
-            spec.coordinate_radius(radius) * _GRID_MARGIN,
-            (coords.max(axis=0) - lo_corner) / _GRID_MAX_CELLS,
-        )
+        lo_corner = np.array([c.min() for c in coords.T])
+        extent = np.array([c.max() for c in coords.T]) - lo_corner
+        side = np.maximum(spec.coordinate_radius(radius) * _GRID_MARGIN, extent / _GRID_MAX_CELLS)
         key = np.zeros(pts.shape[0], dtype=np.int64)
         offsets = np.zeros(1, dtype=np.int64)
         for a in np.flatnonzero(np.isfinite(side) & (side > 0.0)):
@@ -407,7 +407,9 @@ class _CellPairs:
             lo, count = rows[:, 0::2], rows[:, 1::2]
             lo[:, 0] = np.arange(first + 1, first + 1 + len(rows))
             count -= lo
-            per_point = count.sum(axis=1)
+            per_point = count[:, 0].copy()
+            for k in range(1, count.shape[1]):  # column adds: far faster than sum(axis=1)
+                per_point += count[:, k]
             ends = np.cumsum(per_point)
             start = 0
             while start < len(ends):
@@ -417,8 +419,7 @@ class _CellPairs:
                 size = int(ends[stop - 1]) - done
                 if size:
                     src = np.repeat(np.arange(first + start, first + stop), per_point[start:stop])
-                    skip = np.cumsum(runs) - runs
-                    dst = np.repeat(lo[start:stop].ravel() - skip, runs) + np.arange(size)
+                    dst = _run_positions(lo[start:stop].ravel(), runs)
                     i, j = order.take(src), order.take(dst)
                     if label is not None:
                         cross = np.flatnonzero(label.take(i) != label.take(j))
@@ -427,15 +428,12 @@ class _CellPairs:
                     yield i, j, spec.pairs(pts.take(i, 0), pts.take(j, 0))
                 start = stop
 
-    @functools.cached_property
-    def _near_order(self):
-        return self.order.astype(np.intp)  # an int32 index costs a cast per use
 
-    def near(self, i):
-        """The points in the cells next to point i, i among them."""
-        row = self.table[self.cell[i]].tolist()
-        order = self._near_order
-        return np.concatenate([order[a:b] for a, b in zip(row[0::2], row[1::2]) if a < b])
+def _run_positions(lo, count):
+    """The positions of the runs ``[lo[k], lo[k] + count[k])``, in order."""
+    at = np.repeat(lo - (np.cumsum(count) - count), count)
+    at += np.arange(at.size)
+    return at
 
 
 def _kd_pyramid(pts: np.ndarray):
@@ -508,7 +506,7 @@ def diameter(cloud: PointCloud, spec: DistanceSpec) -> float:
         return 0.0
     hop = spec.one_to_many(pts[0], pts)
     best = max(float(hop.max()), float(spec.one_to_many(pts[int(np.argmax(hop))], pts).max()))
-    extent = pts.max(axis=0) - pts.min(axis=0)
+    extent = np.array([c.max() - c.min() for c in pts.T])
     if spec.distance_bound(extent[None])[0] == math.inf:
         rows = (spec.one_to_many(pts[i], pts[i + 1 :]).max() for i in range(len(pts) - 1))
         return max(best, float(max(rows)))

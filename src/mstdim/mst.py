@@ -160,8 +160,11 @@ def _join(label, u, v):
         parent[root] = to
         keep = root[(parent[to] == root) & (root < to)]
         parent[keep] = keep
-        while not np.array_equal(parent[parent], parent):  # pointer jumping
-            parent = parent[parent]
+        while True:  # pointer jumping
+            jumped = parent[parent]
+            if np.array_equal(jumped, parent):
+                break
+            parent = jumped
         label = parent[label]
         a, b = parent[a], parent[b]
 

@@ -20,7 +20,7 @@ from mstdim.dimension import (
 )
 from mstdim.errors import EstimationError, InputError, InsufficientScalesError
 from mstdim.generators import ShapeFamily, builtin_shape, generate_grid
-from mstdim.metric import Lp, PointCloud, PowerQuasi, Snowflake, diameter
+from mstdim.metric import Lp, PointCloud, PowerQuasi, Snowflake, _CellPairs, diameter
 from mstdim.mst import build_mst_prim
 from specs import Chebyshev, Counting, packing_lower_bound_check
 
@@ -141,7 +141,8 @@ def test_packing_without_coordinate_bound_is_exact():
 def test_packing_measures_sparse_scales_pair_by_pair():
     # the last scale of dim-box on grid 64 (7.8 pairs per point): every pair
     # of neighbouring cells once, no kernel call per center; the first scale
-    # (every point near every other) keeps one call per center
+    # (every point near every other) resolves its first batch of 64 points
+    # with one call, and its one center evicts the rest with one more
     cloud = generate_grid(64, 2)
     anchor = diameter(cloud, L2)
     last = Counting(L2)
@@ -149,7 +150,55 @@ def test_packing_measures_sparse_scales_pair_by_pair():
     assert last.calls["one_to_many"] == 0 and last.evals <= 16 * cloud.n
     first = Counting(L2)
     assert greedy_packing(cloud, first, anchor * 0.5).count == 1
-    assert first.calls["pairs"] == 0
+    assert first.calls == {"one_to_many": 0, "pairs": 2}
+
+
+def _batch_cases(n):
+    """Clouds of n points whose packing grid holds over 16 pairs per point,
+    with eps: the grid keys 3 coordinates, so points apart only in the
+    fourth share one cell."""
+    rng = np.random.default_rng(n)
+    line = np.zeros((n, 4))
+    line[:, 3] = np.arange(n) * 0.3
+    apart = np.zeros((n, 4))
+    apart[:, 3] = np.arange(n)
+    lattice = rng.integers(0, [2, 2, 2, 4], (n, 4)).astype(np.float64)
+    return [
+        (apart, 0.4),  # every point a center
+        (line, 0.45),  # 2 eps = 3 steps: in-batch and cross-batch conflicts
+        (line[::-1].copy(), 0.2),
+        (rng.random((n, 2)) * 1e-6, 1e-3),  # all points in one cell
+        (rng.integers(0, 3, (n, 2)).astype(np.float64), 0.5),  # duplicates, ties at 2 eps
+        (lattice, 0.5),  # lattice ties at 2 eps
+        (lattice, 1.0),
+    ]
+
+
+@pytest.mark.parametrize("spec", [L2, Lp(1.0), PowerQuasi(L2, 2.0)], ids=str)
+@pytest.mark.parametrize("n", [63, 64, 65, 129])
+@pytest.mark.parametrize("small", [False, True], ids=["constants", "small-chunks"])
+def test_packing_batches_match_scan(spec, n, small, monkeypatch):
+    # the prefix batches meet the batch and eviction boundaries; with small
+    # chunks, runs are cut into pieces and batches end at their window
+    if small:
+        monkeypatch.setattr(dimension, "_EVICT_PAIRS", 5)
+        monkeypatch.setattr(dimension, "_BATCH_WINDOW", 40)
+    for pts, eps in _batch_cases(n):
+        cloud = PointCloud(pts)
+        assert _CellPairs(cloud.points, spec, 2.0 * eps).total > dimension._PACK_PAIRS * n
+        result = greedy_packing(cloud, spec, eps)
+        assert result.center_indices == _reference_packing(cloud, spec, eps)
+
+
+def test_packing_batch_work_bound():
+    # carpet depth 5 at 3^-4.5 (35.7 pairs per point, 3,114 centers): batches
+    # of 64 live points and chunked evictions make at most 300 kernel calls
+    # and 12 distance evaluations per point (275 and 11.1 measured)
+    cloud, _ = builtin_shape("sierpinski-carpet", 5)
+    counting = Counting(L2)
+    assert greedy_packing(cloud, counting, 3.0**-4.5).count == 3114
+    assert counting.calls["one_to_many"] == 0 and counting.calls["pairs"] <= 300
+    assert counting.evals <= 12 * cloud.n
 
 
 def test_packing_memory_bound():
