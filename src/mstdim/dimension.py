@@ -35,7 +35,7 @@ import numpy as np
 from .energy import check_alphas, energies
 from .errors import EstimationError, InputError, InsufficientScalesError
 from .generators import ShapeFamily
-from .metric import DistanceSpec, PointCloud, _CellPairs, _run_positions, diameter
+from .metric import DistanceSpec, PointCloud, _CellPairs, diameter
 from .mst import build_mst_kruskal
 from .reports import _jsonable, format_float
 
@@ -67,11 +67,9 @@ BOX_MAX_SCALES = 60
 _PACK_PAIRS = 16
 # Prefix batches: at most this many live points per batch (a row of the
 # batch's triangle packs into one 8-byte word), found among this many
-# positions from the first live point, and at most this many candidate pairs
-# per eviction call.
+# positions from the first live point.
 _BATCH_POINTS = 64
 _BATCH_WINDOW = 1 << 10
-_EVICT_PAIRS = 1 << 14
 
 
 @dataclass
@@ -104,7 +102,8 @@ def greedy_packing(cloud: PointCloud, spec: DistanceSpec, eps: float) -> Packing
     ``_PACK_PAIRS`` (16) pairs per point, its ``blocks`` measure each pair
     once through ``spec.pairs`` before the scan, and each center evicts its
     later conflicts by one slice. Otherwise ``_batch_scan`` resolves the
-    points a prefix batch at a time. Entry i of ``pairs`` equals
+    points a prefix batch at a time and evicts through the same grid's
+    ``blocks``, given the centers. Entry i of ``pairs`` equals
     ``one_to_many`` bit for bit and specs are exactly symmetric, so either
     way each distance is the one a point-by-point scan computes, and the
     centers are the same, in order.
@@ -143,7 +142,11 @@ def _batch_scan(cells, threshold) -> list:
     ``lhs``, so each entry is ``one_to_many`` from the earlier point bit for
     bit. Each member's earlier far points become one bitset, and a member is
     a center iff its bitset covers the centers before it. The batch is then
-    dead, and ``_evict`` clears the centers' live neighbours."""
+    dead, so ``cells.blocks(live_view, centers)`` with the live flags as its
+    label measures exactly the centers' live neighbours, each read when its
+    block is reached, and clears those within ``threshold``. A pair is
+    measured as (center, neighbour), the same bits as the other way round
+    since every spec is exactly symmetric."""
     pts, spec = cells.pts, cells.spec
     live = bytearray(b"\x01") * len(pts)
     live_view = np.frombuffer(live, dtype=np.uint8)
@@ -170,44 +173,10 @@ def _batch_scan(cells, threshold) -> list:
         centers = batch.take(picked)
         kept += centers.tolist()
         live_view[batch] = 0
-        _evict(cells, centers, threshold, live_view)
+        for _, j, distance in cells.blocks(live_view, centers):
+            live_view[j.take(np.flatnonzero(~(distance > threshold)))] = 0
         i = live.find(1, batch[-1] + 1)
     return kept
-
-
-def _evict(cells, centers, threshold, live_view):
-    """Clear in ``live_view`` every live point within ``threshold`` of one
-    of ``centers``, all earlier than every live point. The candidates are the
-    centers' neighbour runs from the grid's ``table``, taken a chunk of at
-    most ``_EVICT_PAIRS`` sorted positions at a time (a longer run is cut
-    into pieces first); the dead ones are dropped before one ``spec.pairs``
-    call measures the chunk, the candidate as ``lhs``."""
-    pts, spec, order = cells.pts, cells.spec, cells.order
-    rows = cells.table.take(cells.cell.take(centers), axis=0)
-    lo = rows[:, 0::2].ravel()
-    count = rows[:, 1::2].ravel() - lo
-    source = np.repeat(centers, rows.shape[1] // 2)
-    if count.max() > _EVICT_PAIRS:
-        pieces = -(-count // _EVICT_PAIRS)
-        run = np.repeat(np.arange(count.size), pieces)
-        offset = _run_positions(0, pieces) * _EVICT_PAIRS
-        lo = lo.take(run) + offset
-        count = np.minimum(count.take(run) - offset, _EVICT_PAIRS)
-        source = source.take(run)
-    ends = np.cumsum(count)
-    start = 0
-    while start < ends.size:
-        done = int(ends[start - 1]) if start else 0
-        stop = int(np.searchsorted(ends, done + _EVICT_PAIRS, "right"))
-        runs = count[start:stop]
-        cand = order.take(_run_positions(lo[start:stop], runs))
-        alive = np.flatnonzero(live_view.take(cand).view(bool))
-        if alive.size:
-            cand = cand.take(alive)
-            center = np.repeat(source[start:stop], runs).take(alive)
-            distance = spec.pairs(pts.take(cand, 0), pts.take(center, 0))
-            live_view[cand.take(np.flatnonzero(~(distance > threshold)))] = 0
-        start = stop
 
 
 def _conflicts(blocks, threshold, n):
@@ -288,7 +257,8 @@ def box_dimension(
 
     Packs at ``anchor * ratio**j``, j = 1 .. ``BOX_MAX_SCALES`` (anchor
     default: the diameter, measured once the other arguments pass), stopping
-    once counts leave the window from above. At least 4 scales must survive
+    once counts leave the window from above or at the first scale that
+    rounds to 0. At least 4 scales must survive
     the window, counts in [``BOX_MIN_COUNT``, n * ``BOX_MAX_FRACTION``], or
     the estimate is refused.
     """
@@ -306,6 +276,8 @@ def box_dimension(
     series = []
     for j in range(1, BOX_MAX_SCALES + 1):
         eps = anchor * ratio**j
+        if eps == 0.0:
+            break  # the schedule underflows: no finer scale exists
         count = greedy_packing(cloud, spec, eps).count
         series.append((float(eps), count))
         if count > cap or count >= n:

@@ -322,9 +322,9 @@ _GRID_AXES = 3
 # rounding of (x - lo) / side, at most about 2**-31 cells at 2**20 cells.
 _GRID_MARGIN = 1.0 + 2.0**-20
 _GRID_MAX_CELLS = 2**20
-# Candidate pairs per ``spec.pairs`` call, and sorted points per chunk of
-# neighbour ranges.
-_BLOCK_PAIRS = 1 << 12
+# At most this many candidate pairs per ``spec.pairs`` call, and this many
+# source points per chunk of neighbour runs.
+_BLOCK_PAIRS = 1 << 14
 _CHUNK_POINTS = 1 << 10
 
 
@@ -333,8 +333,9 @@ class _CellPairs:
     cells of side just above ``spec.coordinate_radius(radius)`` on the
     leading coordinates, so two points within ``radius`` lie in neighbouring
     cells. ``total`` is the exact count of unordered pairs of points in
-    neighbouring cells and ``blocks`` measures them; greedy packing reads
-    the neighbour runs of its centers from ``table`` itself.
+    neighbouring cells. ``blocks`` measures them, or the pairs of given
+    points with their neighbours: the one walk over the runs that the tree
+    rounds, lemma 4's closest pair and greedy packing all read.
 
     Cell keys: the last keyed axis has stride 1, so the 3**k neighbours of
     key K are the 3**(k-1) runs of consecutive keys ``[K + runs[2j],
@@ -390,40 +391,56 @@ class _CellPairs:
         ahead -= bounds[mid + 1 :: 2].sum(axis=0)
         self.total = int(ahead.take(at).sum()) - len(key) * (len(key) + 1) // 2
 
-    def blocks(self, label=None):
-        """(i, j, distance) arrays of at most about _BLOCK_PAIRS pairs each,
-        every pair once: sorted position s pairs with the later positions of
-        its key runs, and ``spec.pairs`` measures it. Given ``label``, only the
-        pairs whose endpoints have different labels are kept, before they are
-        measured. The earlier runs hold no later position, so only the runs
-        from the middle one on are read.
+    def blocks(self, label=None, points=None):
+        """(i, j, distance) arrays of at most _BLOCK_PAIRS pairs each, point
+        i as ``lhs`` of the ``spec.pairs`` call that measures them.
+
+        Without ``points``, every pair once: sorted position s pairs with the
+        later positions of its key runs. The earlier runs hold no later
+        position, so only the runs from the middle one on are read. With
+        ``points``, each given point pairs with every position of its cell's
+        runs, itself included.
+
+        Both walk the runs of at most _CHUNK_POINTS sources at a time; a run
+        longer than _BLOCK_PAIRS is cut into pieces, so no block grows with
+        n. Given ``label``, the pairs whose endpoints have equal labels are
+        dropped before they are measured. The label is read as each block is
+        reached, so a consumer that writes it between blocks is seen.
         """
-        pts, spec, order = self.pts, self.spec, self.order
-        forward = self.table[:, self.runs.size // 2 - 1 :]  # from the middle run on
-        for first in range(0, len(order), _CHUNK_POINTS):
-            # per sorted position from ``first``: the start and the length of
-            # its later positions in each run
-            rows = forward.take(self.cell.take(order[first : first + _CHUNK_POINTS]), axis=0)
+        pts, spec, order, table = self.pts, self.spec, self.order, self.table
+        forward = points is None
+        if forward:
+            points = order  # sorted position s is point order[s]
+            table = table[:, self.runs.size // 2 - 1 :]  # from the middle run on
+        for first in range(0, len(points), _CHUNK_POINTS):
+            source = points[first : first + _CHUNK_POINTS]
+            # per source and run: its first position and its length
+            rows = table.take(self.cell.take(source), axis=0)
             lo, count = rows[:, 0::2], rows[:, 1::2]
-            lo[:, 0] = np.arange(first + 1, first + 1 + len(rows))
+            if forward:  # the middle run from the next position on
+                lo[:, 0] = np.arange(first + 1, first + 1 + len(rows))
             count -= lo
-            per_point = count[:, 0].copy()
-            for k in range(1, count.shape[1]):  # column adds: far faster than sum(axis=1)
-                per_point += count[:, k]
-            ends = np.cumsum(per_point)
+            source = np.repeat(source, count.shape[1])
+            lo, count = lo.ravel(), count.ravel()
+            if count.max() > _BLOCK_PAIRS:
+                pieces = -(-count // _BLOCK_PAIRS)
+                run = np.repeat(np.arange(count.size), pieces)
+                offset = _run_positions(0, pieces) * _BLOCK_PAIRS
+                lo = lo.take(run) + offset
+                count = np.minimum(count.take(run) - offset, _BLOCK_PAIRS)
+                source = source.take(run)
+            ends = np.cumsum(count)
             start = 0
-            while start < len(ends):
+            while start < ends.size:
                 done = int(ends[start - 1]) if start else 0
-                stop = max(start + 1, int(np.searchsorted(ends, done + _BLOCK_PAIRS, "right")))
-                runs = count[start:stop].ravel()
-                size = int(ends[stop - 1]) - done
-                if size:
-                    src = np.repeat(np.arange(first + start, first + stop), per_point[start:stop])
-                    dst = _run_positions(lo[start:stop].ravel(), runs)
-                    i, j = order.take(src), order.take(dst)
-                    if label is not None:
-                        cross = np.flatnonzero(label.take(i) != label.take(j))
-                        i, j = i.take(cross), j.take(cross)
+                stop = int(np.searchsorted(ends, done + _BLOCK_PAIRS, "right"))
+                runs = count[start:stop]
+                i = np.repeat(source[start:stop], runs)
+                j = order.take(_run_positions(lo[start:stop], runs))
+                if label is not None:
+                    cross = np.flatnonzero(label.take(i) != label.take(j))
+                    i, j = i.take(cross), j.take(cross)
+                if i.size:
                     # take: several times faster than a fancy row gather
                     yield i, j, spec.pairs(pts.take(i, 0), pts.take(j, 0))
                 start = stop

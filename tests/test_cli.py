@@ -220,6 +220,17 @@ def test_dim_box_estimation_failure_exit_code(tmp_path, capsys):
     assert "scales" in err
 
 
+@pytest.mark.parametrize("schedule", [["--ratio", "1e-10"], ["--anchor", "5e-324"]])
+def test_dim_box_schedule_underflow_exits_4(tmp_path, capsys, schedule):
+    # two piles of 50 points: the counts never leave the window from above,
+    # so the schedule runs on until a scale rounds to 0 and must end there
+    path = tmp_path / "piles.csv"
+    write_cloud(PointCloud([[0.0, 0.0]] * 50 + [[1.0, 0.0]] * 50), path)
+    code, _, err = run(capsys, "dim-box", "--in", str(path), *schedule)
+    assert code == 4
+    assert "only 0 scales inside the window" in err
+
+
 def test_dim_box_csv_export(tmp_path, capsys):
     cloud_path = tmp_path / "c.csv"
     run(capsys, "generate", "--shape", "cantor", "--depth", "9", "--out", str(cloud_path))

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mstdim import dimension
+from mstdim import dimension, metric
 from mstdim.dimension import (
     BOX_MAX_FRACTION,
     BOX_MAX_SCALES,
@@ -181,7 +181,7 @@ def test_packing_batches_match_scan(spec, n, small, monkeypatch):
     # the prefix batches meet the batch and eviction boundaries; with small
     # chunks, runs are cut into pieces and batches end at their window
     if small:
-        monkeypatch.setattr(dimension, "_EVICT_PAIRS", 5)
+        monkeypatch.setattr(metric, "_BLOCK_PAIRS", 5)
         monkeypatch.setattr(dimension, "_BATCH_WINDOW", 40)
     for pts, eps in _batch_cases(n):
         cloud = PointCloud(pts)

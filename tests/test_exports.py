@@ -86,3 +86,36 @@ def test_no_module_imports_a_name_it_never_reads():
         if (names := _unread_imports(path))
     }
     assert unread == {}
+
+
+def _private_names(tree):
+    """The private constants, functions and classes a module defines at its
+    top level."""
+    bound = set()
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            bound.add(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            bound.update(n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name))
+    return {name for name in bound if name.startswith("_") and not name.startswith("__")}
+
+
+def test_every_private_name_is_read_in_the_package():
+    # a private name the package never reads is left over from deleted code,
+    # even if a test still imports it
+    package = Path(mstdim.__file__).parent
+    trees = {path.name: ast.parse(path.read_text()) for path in sorted(package.glob("*.py"))}
+    read = set()
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                read.add(node.attr)
+    unread = {
+        name: names
+        for name, tree in trees.items()
+        if (names := sorted(_private_names(tree) - read))
+    }
+    assert unread == {}

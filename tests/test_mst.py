@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mstdim import mst
+from mstdim import metric, mst
 from mstdim.energy import energies
 from mstdim.errors import InputError
 from mstdim.generators import builtin_shape, generate_grid, generate_uniform
@@ -446,6 +446,25 @@ def test_trees_match_dense_canonical_prim_on_shapes(shape, size):
     assert_canonical(builtin_shape(shape, size)[0], L2)
 
 
+@pytest.mark.parametrize("cloud", ["carpet", "duplicates", "line"])
+def test_trees_match_dense_canonical_prim_in_small_blocks(cloud, monkeypatch):
+    # blocks of 5 pairs: every run is cut into pieces, and the candidate
+    # rounds read each grid in many blocks
+    monkeypatch.setattr(metric, "_BLOCK_PAIRS", 5)
+    rng = np.random.default_rng(3)
+    clouds = {
+        "carpet": builtin_shape("sierpinski-carpet", 3)[0],
+        "duplicates": PointCloud(np.repeat(rng.integers(0, 6, (60, 2)) * 0.5, 3, axis=0)),
+        "line": PointCloud(np.arange(300.0)[rng.permutation(300)]),
+    }
+    edges, _ = dense_canonical_prim(clouds[cloud], L2)
+    expected = sorted(
+        ((min(u, v), max(u, v), length) for u, v, length in edges),
+        key=lambda e: (e[2], e[0], e[1]),
+    )
+    assert build_mst_kruskal(clouds[cloud], L2).edges == expected
+
+
 @settings(deadline=None, max_examples=40)
 @given(
     seed=st.integers(0, 10**6),
@@ -453,15 +472,24 @@ def test_trees_match_dense_canonical_prim_on_shapes(shape, size):
     d=st.integers(1, 4),
     spec_idx=st.integers(0, len(TREE_SPECS) - 1),
     radius=st.floats(0.0, 2.0),
+    picks=st.lists(st.integers(0, 10**6), max_size=8),
+    block=st.sampled_from([3, None]),
 )
-def test_cell_pairs_cover_every_close_pair_once(seed, n, d, spec_idx, radius):
+def test_cell_pairs_cover_every_close_pair_once(seed, n, d, spec_idx, radius, picks, block):
     # the candidate rounds see every pair within the radius, each once; a
-    # missed pair would leave the work to the Prim stage or break the tree
-    spec = TREE_SPECS[spec_idx]
-    rng = np.random.default_rng(seed)
+    # missed pair would leave the work to the Prim stage or break the tree.
+    # Blocks of 3 pairs cut the runs into pieces.
+    with pytest.MonkeyPatch.context() as patch:
+        if block:
+            patch.setattr(metric, "_BLOCK_PAIRS", block)
+        _check_cell_pairs(TREE_SPECS[spec_idx], np.random.default_rng(seed), n, d, radius, picks)
+
+
+def _check_cell_pairs(spec, rng, n, d, radius, picks):
     pts = rng.integers(0, 5, (n, d)) * 0.25
     cells = _CellPairs(pts, spec, radius)
     blocks = list(cells.blocks())
+    assert all(len(a) <= metric._BLOCK_PAIRS for a, _, _ in blocks)
     found = [(min(i, j), max(i, j)) for a, b, _ in blocks for i, j in zip(a.tolist(), b.tolist())]
     assert len(found) == len(set(found))
     assert all(i != j for i, j in found)
@@ -475,18 +503,44 @@ def test_cell_pairs_cover_every_close_pair_once(seed, n, d, spec_idx, radius):
     ]
     close = {(i, j) for i in range(n) for j in within[i] if i < j}
     assert close <= set(found)
+    # given points: each pairs with every point of its runs, itself included
+    points = np.array([p % n for p in picks], dtype=np.intp)
+    runs = [{i} for i in range(n)]
+    for i, j in found:
+        runs[i].add(j)
+        runs[j].add(i)
+    given = list(cells.blocks(points=points))
+    assert all(len(a) <= metric._BLOCK_PAIRS for a, _, _ in given)
+    paired = [(i, j) for a, b, _ in given for i, j in zip(a.tolist(), b.tolist())]
+    assert sorted(paired) == sorted((i, j) for i in points.tolist() for j in runs[i])
     # each distance is the one the row kernel computes, bit for bit
-    for a, b, distance in blocks:
+    for a, b, distance in blocks + given:
         row = [spec.one_to_many(pts[j], pts[i : i + 1])[0] for i, j in zip(a, b)]
         assert distance.tobytes() == np.array(row, dtype=np.float64).tobytes()
-    # a label keeps exactly the pairs whose endpoints differ in it
+    # a label keeps exactly the pairs whose endpoints differ in it, and drops
+    # the others before they are measured
     label = rng.integers(0, 3, n).astype(np.int32)
-    kept = [
-        (min(i, j), max(i, j))
-        for a, b, _ in cells.blocks(label)
-        for i, j in zip(a.tolist(), b.tolist())
-    ]
-    assert sorted(kept) == sorted(p for p in found if label[p[0]] != label[p[1]])
+    for source, every in ((None, found), (points, paired)):
+        counting = Counting(spec)
+        kept = [
+            (i, j)
+            for a, b, _ in _CellPairs(pts, counting, radius).blocks(label, source)
+            for i, j in zip(a.tolist(), b.tolist())
+        ]
+        if source is None:
+            kept = [(min(i, j), max(i, j)) for i, j in kept]
+        assert sorted(kept) == sorted(p for p in every if label[p[0]] != label[p[1]])
+        assert counting.evals == len(kept)
+    # a label written between blocks is read at the next block: marking the
+    # neighbours seen so far drops them from every later block
+    live = np.ones(n, dtype=np.uint8)
+    live[points] = 0
+    seen = set()
+    for _, b, _ in cells.blocks(live, points):
+        assert live.take(b).all()
+        live[b] = 0
+        seen.update(b.tolist())
+    assert seen == set().union(*(runs[i] for i in points.tolist())) - set(points.tolist())
 
 
 def _partition(label):
