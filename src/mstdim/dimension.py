@@ -258,9 +258,11 @@ def box_dimension(
     Packs at ``anchor * ratio**j``, j = 1 .. ``BOX_MAX_SCALES`` (anchor
     default: the diameter, measured once the other arguments pass), stopping
     once counts leave the window from above or at the first scale that
-    rounds to 0. At least 4 scales must survive
-    the window, counts in [``BOX_MIN_COUNT``, n * ``BOX_MAX_FRACTION``], or
-    the estimate is refused.
+    rounds to 0. Where ``ratio**j`` is subnormal or 0 the scale is
+    ``ldexp(anchor * m**j, e * j)`` with ``ratio = m * 2**e``, exact to
+    rounding. At least 4 scales must survive the window, counts in
+    [``BOX_MIN_COUNT``, n * ``BOX_MAX_FRACTION``], or the estimate is
+    refused.
     """
     n = cloud.n
     if not 0.0 < ratio < 1.0:
@@ -274,8 +276,13 @@ def box_dimension(
     cap = n * BOX_MAX_FRACTION
     window = f"counts in [{BOX_MIN_COUNT}, {cap:g}] of n={n}"
     series = []
+    mantissa, exponent = math.frexp(ratio)
     for j in range(1, BOX_MAX_SCALES + 1):
-        eps = anchor * ratio**j
+        power = ratio**j
+        if power >= 2.0**-1022:
+            eps = anchor * power
+        else:  # a subnormal or 0 power has lost bits the scale can hold
+            eps = math.ldexp(anchor * mantissa**j, exponent * j)
         if eps == 0.0:
             break  # the schedule underflows: no finer scale exists
         count = greedy_packing(cloud, spec, eps).count

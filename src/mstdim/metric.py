@@ -199,8 +199,16 @@ class Lp(DistanceSpec):
         return x
 
     def _rows(self, lhs, rhs, out):
-        """Root of the terms of lhs[:, k] - rhs[..., k], summed in coordinate
-        order k = 0 .. d - 1; ``rhs`` is one point or one point per row."""
+        """Distances from the rows of ``lhs`` to ``rhs``, one point or one
+        point per row: the root of ``_sums``, rescaled where p is general."""
+        if self.p in (1.0, 2.0):
+            return self._root(self._sums(lhs, rhs, out))
+        with np.errstate(over="ignore"):  # a row that overflows is rescaled
+            return self._rescaled(lhs, rhs, self._sums(lhs, rhs, out))
+
+    def _sums(self, lhs, rhs, out):
+        """The terms of lhs[:, k] - rhs[..., k] summed into ``out`` in
+        coordinate order k = 0 .. d - 1."""
         m, d = lhs.shape
         if out is None:
             out = np.empty(m)
@@ -209,7 +217,24 @@ class Lp(DistanceSpec):
             tmp = np.empty(m)
             for k in range(1, d):
                 np.add(out, self._term(np.subtract(lhs[:, k], rhs[..., k], out=tmp)), out=out)
-        return self._root(out)
+        return out
+
+    def _rescaled(self, lhs, rhs, sums):
+        """Root of the ``sums`` in place. A sum that overflows or is not a
+        normal float (0 included) is computed again from its row's gaps and
+        their largest, s: s (sum (gap_k / s) ** p) ** (1 / p), finite and
+        exact to rounding (Blue, ACM TOMS 1978). Other rows keep their bits."""
+        if 2.0**-1022 <= sums.min(initial=math.inf) and sums.max(initial=0.0) < math.inf:
+            return self._root(sums)
+        rows = np.flatnonzero(~(sums >= 2.0**-1022) | (sums == math.inf))
+        gaps = np.abs(lhs[rows] - (rhs[rows] if rhs.ndim == 2 else rhs))
+        top = gaps.max(axis=1)
+        # a row with top 0 is at distance 0, one with top inf overflows
+        keep = (top > 0.0) & (top < math.inf)
+        rows, gaps, top = rows[keep], gaps[keep], top[keep]
+        self._root(sums)
+        sums[rows] = top * self._root(self._term(gaps / top[:, None]).sum(axis=1))
+        return sums
 
     def one_to_many(self, a, pts, out=None):
         a = np.asarray(a, dtype=np.float64)

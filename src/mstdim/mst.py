@@ -26,8 +26,10 @@ distinct point; each later round grows r by the first of the factors 2,
 2^(1/2), 2^(1/4) and 2^(1/8) whose grid holds at most 32 pairs per point,
 and takes only the pairs that join two components. Once the rest would cost
 Prim at most 8 distance evaluations per pair the last round enumerated, Prim
-grows the largest component over the rest, with distance rows between tree
-and outside points only.
+grows the largest component B over the rest, adding a whole component per
+step. Its distance rows pair the points just joined with the outside points,
+so it makes exactly |B| (n - |B|) + sum over C < C' of |C| |C'| evaluations,
+over the other components: none inside one component.
 
 What it costs. On clouds of bounded local density in up to 3 dimensions
 (the grid keys at most 3 coordinates) O(n) distance evaluations, and array
@@ -169,68 +171,6 @@ def _join(label, u, v):
         a, b = parent[a], parent[b]
 
 
-class _Outside:
-    """Points not yet in the tree with their best edge into it, kept compact
-    so distance rows cover exactly the outside points: ``length[p]`` and
-    ``source[p]`` are the least (length, tree index) over the tree."""
-
-    def __init__(self, pts, members):
-        n = len(pts)
-        self.index = np.array(members, dtype=np.int64)
-        self.points = pts[self.index]
-        self.length = np.full(self.index.size, np.inf)
-        self.source = np.full(self.index.size, n, dtype=np.int64)
-        self.slot = np.full(n, -1, dtype=np.int64)
-        self.slot[self.index] = np.arange(self.index.size)
-        self.live = self.index.size
-
-    def remove(self, v):
-        p, last = int(self.slot[v]), self.live - 1
-        for arr in (self.index, self.points, self.length, self.source):
-            arr[p] = arr[last]
-        self.slot[self.index[p]] = p
-        self.slot[v] = -1
-        self.live = last
-
-    def relax(self, pts, spec, joined):
-        """Fold the edges from the ``joined`` points (ascending) into the
-        best edges, with one distance row per point on the shorter side."""
-        m = self.live
-        if m == 0:
-            return
-        length, source = self.length[:m], self.source[:m]
-        if len(joined) <= m:
-            outside = self.points[:m]
-            better = np.empty(m, dtype=bool)
-            tied = np.empty(m, dtype=bool)
-            for q in joined.tolist():
-                row = spec.one_to_many(pts[q], outside)
-                np.less(row, length, out=better)
-                np.equal(row, length, out=tied)
-                tied &= q < source
-                better |= tied
-                np.copyto(length, row, where=better)
-                np.copyto(source, q, where=better)
-        else:
-            tree = pts[joined]
-            for p in range(m):
-                row = spec.one_to_many(self.points[p], tree)
-                j = int(np.argmin(row))  # first minimum: smallest tree index
-                if row[j] < length[p] or (row[j] == length[p] and joined[j] < source[p]):
-                    length[p], source[p] = row[j], joined[j]
-
-    def closest(self):
-        """Slot of the outside point whose best edge is least in canonical
-        order."""
-        m = self.live
-        length = self.length[:m]
-        ties = np.flatnonzero(length == length.min())
-        if ties.size == 1:
-            return int(ties[0])
-        u, v = self.source[ties], self.index[ties]
-        return int(ties[np.lexsort((np.maximum(u, v), np.minimum(u, v)))[0]])
-
-
 def _canonical_order(length, u, v):
     """Positions of the pairs (u, v), 0 <= u, v < 2^31, sorted in canonical
     order: ``np.lexsort((v, u, length))``. Lengths that are all distinct (no
@@ -304,34 +244,59 @@ def _canonical_tree(pts, spec):
     return u, v, length
 
 
+def _relax(pts, spec, joined, outside, length, source):
+    """Fold the edges from the ``joined`` points (ascending) into the best
+    edges of the ``outside`` points: ``length[p]`` and ``source[p]`` are the
+    least (length, tree index) over the tree. One distance row per point on
+    the shorter side."""
+    m = len(outside)
+    if len(joined) <= m:
+        for q in joined.tolist():
+            row = spec.one_to_many(pts[q], outside)
+            better = (row < length) | ((row == length) & (q < source))
+            np.copyto(length, row, where=better)
+            np.copyto(source, q, where=better)
+    else:
+        tree = pts[joined]
+        for p in range(m):
+            row = spec.one_to_many(outside[p], tree)
+            j = int(np.argmin(row))  # first minimum: smallest tree index
+            if row[j] < length[p] or (row[j] == length[p] and joined[j] < source[p]):
+                length[p], source[p] = row[j], joined[j]
+
+
 def _finish(pts, spec, label):
     """Prim over the components of the forest ``label`` names by root
     points: grow from the largest, adding the least canonical edge out of the
-    tree and the whole component at its far end. Distance rows pair tree and
+    tree and the whole component at its far end. The outside points fill the
+    prefix [:live] of the arrays below, so distance rows pair tree and
     outside points only."""
-    by_label = np.argsort(label, kind="stable")  # each component ascending
-    roots, starts, sizes = np.unique(label[by_label], return_index=True, return_counts=True)
-    component = np.empty(len(pts), dtype=np.int64)
-    component[roots] = np.arange(len(roots))
-
-    def members(c):
-        return by_label[starts[c] : starts[c] + sizes[c]]
-
-    first = int(np.argmax(sizes))
-    tree = members(first)
-    outside = _Outside(pts, np.setdiff1d(by_label, tree, assume_unique=True))
-    outside.relax(pts, spec, tree)
+    first = np.bincount(label).argmax()  # the smallest root of the largest
+    joined = np.flatnonzero(label == first)
+    index = np.flatnonzero(label != first)
+    group = label[index]
+    outside = pts[index]
+    length = np.full(index.size, np.inf)
+    source = np.full(index.size, len(pts), dtype=np.int64)
+    live = index.size
     us, vs, lengths = [], [], []
-    while outside.live:
-        p = outside.closest()
-        v = int(outside.index[p])
-        us.append(int(outside.source[p]))
-        vs.append(v)
-        lengths.append(float(outside.length[p]))
-        joined = members(component[label[v]])
-        for w in joined.tolist():
-            outside.remove(w)
-        outside.relax(pts, spec, joined)
+    while live:
+        _relax(pts, spec, joined, outside[:live], length[:live], source[:live])
+        ties = np.flatnonzero(length[:live] == length[:live].min())
+        u, v = source[ties], index[ties]
+        p = ties[np.lexsort((np.maximum(u, v), np.minimum(u, v)))[0]]
+        us.append(int(source[p]))
+        vs.append(int(index[p]))
+        lengths.append(float(length[p]))
+        # swap-remove the joining component: the points after the new end
+        # that stay outside fill its slots before that end
+        slots = np.flatnonzero(group[:live] == group[p])
+        joined = np.sort(index[slots])
+        live -= slots.size
+        holes = slots[slots < live]
+        fill = live + np.flatnonzero(group[live : live + slots.size] != group[p])
+        for arr in (index, group, outside, length, source):
+            arr[holes] = arr[fill]
     u, v = np.array(us, dtype=np.int32), np.array(vs, dtype=np.int32)
     return np.minimum(u, v), np.maximum(u, v), np.array(lengths)
 

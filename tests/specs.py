@@ -28,26 +28,30 @@ class Chebyshev(DistanceSpec):
 
 
 class Counting(DistanceSpec):
-    """Counts the distances evaluated through either kernel, and the calls
-    of each kernel."""
+    """Counts the distances evaluated through either kernel (``evals`` in
+    total, ``kernel_evals`` per kernel), and the calls of each kernel."""
 
     def __init__(self, base):
         self.base = base
         self.evals = 0
+        self.kernel_evals = {"one_to_many": 0, "pairs": 0}
         self.calls = {"one_to_many": 0, "pairs": 0}
+
+    def _count(self, kernel, evals):
+        self.evals += evals
+        self.kernel_evals[kernel] += evals
+        self.calls[kernel] += 1
 
     @property
     def weak_triangle_const(self):
         return self.base.weak_triangle_const
 
     def one_to_many(self, a, pts, out=None):
-        self.evals += len(pts)
-        self.calls["one_to_many"] += 1
+        self._count("one_to_many", len(pts))
         return self.base.one_to_many(a, pts, out)
 
     def pairs(self, lhs, rhs):
-        self.evals += len(lhs)
-        self.calls["pairs"] += 1
+        self._count("pairs", len(lhs))
         return self.base.pairs(lhs, rhs)
 
     def coordinate_radius(self, t):

@@ -231,6 +231,21 @@ def test_dim_box_schedule_underflow_exits_4(tmp_path, capsys, schedule):
     assert "only 0 scales inside the window" in err
 
 
+def test_dim_box_large_p_reads_like_a_smaller_p(tmp_path, capsys):
+    # lp:400 distances no longer overflow to inf or underflow to 0: on 300
+    # points the schedule is as short as under lp:50, in place of a fit of
+    # slope 0.002 from the broken distances
+    path = tmp_path / "u.csv"
+    run(capsys, "generate", "--shape", "uniform-cube", "--size", "300", "--seed", "1",
+        "--out", str(path))
+    results = [
+        run(capsys, "dim-box", "--in", str(path), "--metric", metric)
+        for metric in ("lp:400", "lp:50")
+    ]
+    assert results[0][0] == 4
+    assert results[0] == results[1]
+
+
 def test_dim_box_csv_export(tmp_path, capsys):
     cloud_path = tmp_path / "c.csv"
     run(capsys, "generate", "--shape", "cantor", "--depth", "9", "--out", str(cloud_path))

@@ -310,6 +310,17 @@ def test_box_scales_are_anchor_times_powers_of_ratio():
     assert series == [1.0 * (1.0 / 3.0) ** j for j in range(1, len(series) + 1)]
 
 
+def test_box_scales_below_the_normal_powers():
+    # ratio**4 = 1e-400 is 0, but the scale 1e300 * 1e-400 = 1e-100 is
+    # representable: the schedule reaches it and every point packs there
+    cloud, _ = builtin_shape("cantor", 9)
+    with pytest.raises(InsufficientScalesError) as err:
+        box_dimension(cloud, L2, ratio=1e-100, anchor=1e300)
+    eps, count = err.value.details["series"][-1]
+    assert eps == pytest.approx(1e-100, rel=1e-15)
+    assert count == 512
+
+
 def test_box_window_respected():
     # the fit keeps exactly the scales whose counts lie in the window, and
     # packing stops at the first scale past its top

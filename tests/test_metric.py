@@ -1,6 +1,7 @@
 import itertools
 import math
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -189,6 +190,15 @@ def test_diameter_without_a_bound_evaluates_each_pair_at_most_once(n):
     counting = Counting(Chebyshev())
     assert diameter(cloud, counting) == row_scan_diameter(cloud, Chebyshev())
     assert counting.evals <= n * (n - 1) // 2 + 2 * n
+
+
+def test_lp_large_p_stays_finite_and_exact():
+    # 10^400 overflows and 0.1^400 underflows: the rows are rescaled by
+    # their largest gap, and no warning escapes the kernel
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert distance(Lp(400.0), (0, 0), (10, 0)) == 10.0
+        assert distance(Lp(400.0), (0, 0), (0.1, 0)) == 0.1
 
 
 def test_distance_dimension_mismatch():

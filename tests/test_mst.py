@@ -3,7 +3,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from mstdim import metric, mst
@@ -439,10 +439,19 @@ def test_trees_match_dense_canonical_prim(seed, n, d, lattice, spec_idx, root_fr
 
 
 @pytest.mark.parametrize(
-    "shape, size", [("grid", 64), ("sierpinski-carpet", 4), ("cantor", 8)]
+    "shape, size",
+    [
+        ("grid", 64),
+        ("sierpinski-carpet", 4),
+        ("cantor", 8),
+        ("cantor", 10),
+        ("cantor-dust", 5),
+    ],
 )
 def test_trees_match_dense_canonical_prim_on_shapes(shape, size):
-    # exact length ties everywhere: the tie-break alone picks the tree
+    # exact length ties everywhere: the tie-break alone picks the tree.
+    # Cantor 10 and cantor-dust 5 reach the Prim stage as 16 components of
+    # 64 points.
     assert_canonical(builtin_shape(shape, size)[0], L2)
 
 
@@ -547,6 +556,37 @@ def _partition(label):
     """Each point's component named by its least member."""
     _, first, inverse = np.unique(label, return_index=True, return_inverse=True)
     return first[inverse]
+
+
+@settings(deadline=None, max_examples=150)
+@given(
+    seed=st.integers(0, 10**6),
+    n=st.integers(2, 40),
+    groups=st.integers(2, 8),
+    d=st.integers(1, 2),
+)
+def test_prim_stage_matches_kruskal_between_components(seed, n, groups, d):
+    # The Prim stage over any forest takes exactly the edges Kruskal takes
+    # over every pair between two of its components, in canonical order.
+    # Lattice points tie everywhere, and components of every size make both
+    # sides of the relax (a row per joined or per outside point) pick among
+    # equal lengths.
+    rng = np.random.default_rng(seed)
+    pts = rng.integers(0, 4, (n, d)).astype(np.float64)
+    label = _partition(rng.integers(0, groups, n)).astype(np.int32)
+    assume(len(np.unique(label)) > 1)
+    i, j = np.triu_indices(n, 1)
+    cross = label[i] != label[j]
+    i, j = i[cross], j[cross]
+    length = L2.pairs(pts[i], pts[j])
+    order = np.lexsort((j, i, length))
+    i, j, length = i[order], j[order], length[order]
+    taken, _ = kruskal_join(label, i, j)
+    u, v, found = mst._finish(pts, L2, label)
+    order = np.lexsort((v, u, found))
+    assert u[order].tolist() == i[taken].tolist()
+    assert v[order].tolist() == j[taken].tolist()
+    assert found[order].tobytes() == length[taken].tobytes()
 
 
 @settings(deadline=None, max_examples=200)
@@ -660,6 +700,52 @@ def test_candidate_rounds_work_bound(name, per_point):
     spec = Counting(L2)
     build_mst_kruskal(PointCloud(_adversarial_clouds(n)[name]), spec)
     assert spec.evals <= per_point * n
+
+
+@pytest.mark.parametrize(
+    "name, evals",
+    [
+        ("cantor-10", 491_520),
+        ("cantor-dust-5", 491_520),
+        ("uniform-d4", 2_096_128),
+        ("uniform-with-outlier", 2_096_128),
+    ],
+)
+def test_prim_stage_measures_each_pair_once(name, evals, monkeypatch):
+    # Stated before the work: the Prim stage measures no pair inside one
+    # component, and every other pair with an outside endpoint once, when
+    # the first of its two components joins. With B the largest component
+    # that is |B| (n - |B|) + sum over C < C' of |C| |C'| one_to_many
+    # evaluations over the other components. The cantor sets reach it as 16
+    # components of 64 points (64 * 960 + 105 * 64^2), the others as 2,048
+    # singletons (2,048 * 2,047 / 2).
+    clouds = {
+        "cantor-10": lambda: builtin_shape("cantor", 10)[0],
+        "cantor-dust-5": lambda: builtin_shape("cantor-dust", 5)[0],
+        "uniform-d4": lambda: generate_uniform(2048, 4, 1),
+        "uniform-with-outlier": lambda: PointCloud(
+            np.vstack([generate_uniform(2047, 2, 1).points, [[1e9, 1e9]]])
+        ),
+    }
+    counting = Counting(L2)
+    stages = []
+    finish = mst._finish
+
+    def recorded(pts, spec, label):
+        before = dict(counting.kernel_evals)
+        result = finish(pts, spec, label)
+        used = {kernel: counting.kernel_evals[kernel] - before[kernel] for kernel in before}
+        stages.append((np.bincount(label), used))
+        return result
+
+    monkeypatch.setattr(mst, "_finish", recorded)
+    build_mst_kruskal(clouds[name](), counting)
+    ((counts, used),) = stages
+    sizes = np.sort(counts[counts > 0])[::-1].astype(np.int64)
+    big, other = sizes[0], sizes[1:]
+    expected = big * other.sum() + (other.sum() ** 2 - (other**2).sum()) // 2
+    assert expected == evals
+    assert used == {"one_to_many": evals, "pairs": 0}
 
 
 def test_forest_goes_to_prim_before_the_next_grid(monkeypatch):
