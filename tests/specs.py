@@ -1,7 +1,8 @@
 """What the tests share: a metric with no coordinate or distance bound, a
 wrapper that counts evaluations, and the oracles: a sequential Kruskal over
 candidate pairs, the row scan for the diameter, the exhaustive minimal tree
-over Prufer sequences and the packing floor on tree energies."""
+over Prufer sequences, the packing floor on tree energies and the per-edge
+tree record formatter."""
 
 import itertools
 
@@ -81,6 +82,25 @@ def kruskal_join(label, u, v):
             parent[rb] = ra
             taken[k] = True
     return taken, np.array([find(x) for x in range(len(parent))])
+
+
+def tree_text(tree):
+    """Reference for ``mst.tree_to_text``: one ``"[{}, {}, {:.17g}]".format``
+    call per edge, and the insertion ranks joined through ``str``."""
+    edge_parts = ", ".join(
+        map("[{}, {}, {:.17g}]".format, tree.u.tolist(), tree.v.tolist(), tree.length.tolist())
+    )
+    rank = (
+        "null"
+        if tree.insertion_rank is None
+        else "[" + ", ".join(map(str, tree.insertion_rank)) + "]"
+    )
+    return (
+        "{"
+        f'"n": {tree.n}, "builder": "{tree.builder}", '
+        f'"edges": [{edge_parts}], "insertion_rank": {rank}'
+        "}\n"
+    )
 
 
 def diameter(cloud, spec):

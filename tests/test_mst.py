@@ -1,5 +1,6 @@
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -22,7 +23,14 @@ from mstdim.mst import (
     read_tree,
     write_tree,
 )
-from specs import Chebyshev, Counting, _prufer_edges, brute_force_min_tree, kruskal_join
+from specs import (
+    Chebyshev,
+    Counting,
+    _prufer_edges,
+    brute_force_min_tree,
+    kruskal_join,
+    tree_text,
+)
 
 L2 = Lp(2.0)
 
@@ -372,6 +380,56 @@ def test_tree_text_17_digits():
     assert tree_from_text(text).edges[0][2] == 1 / 3
 
 
+def _record_trees():
+    """Builders of the trees whose records are checked, by name."""
+    carpet = builtin_shape("sierpinski-carpet", 4)[0]
+    uniform = generate_uniform(2048, 2, 5)
+    repeated = PointCloud(np.repeat(np.random.default_rng(4).random((40, 2)), 3, axis=0))
+    # a path 0 - 1 - ... - 7 in insertion order, lengths at the ends of the
+    # double range and repeated
+    lengths = [1 / 3, 5e-324, 2.2250738585072014e-308, 1e308, 1 / 3, 5e-324, 1e308]
+    path = (np.arange(7), np.arange(1, 8), np.array(lengths))
+    return {
+        "carpet-4-prim": lambda: build_mst_prim(carpet, L2),
+        "carpet-4-kruskal": lambda: build_mst_kruskal(carpet, L2),
+        "uniform-2048-prim": lambda: build_mst_prim(uniform, L2),
+        "uniform-2048-kruskal": lambda: build_mst_kruskal(uniform, L2),
+        "duplicates-prim": lambda: build_mst_prim(repeated, L2),
+        "duplicates-kruskal": lambda: build_mst_kruskal(repeated, L2),
+        "hand-made": lambda: SpanningTree(8, "hand", path, list(range(8))),
+        "one-point-prim": lambda: build_mst_prim(PointCloud([[0.5, 0.5]]), L2),
+        "one-point-kruskal": lambda: build_mst_kruskal(PointCloud([[0.5, 0.5]]), L2),
+    }
+
+
+@pytest.mark.parametrize("name", list(_record_trees()))
+def test_tree_text_matches_the_per_edge_format(name):
+    # one %.17g per distinct length writes what one format per edge wrote,
+    # byte for byte, and the record reads back bit for bit
+    tree = _record_trees()[name]()
+    if name.startswith("duplicates"):
+        assert np.count_nonzero(tree.length == 0.0) == 80
+    if name.startswith("uniform"):
+        assert np.unique(tree.length).size == tree.n - 1
+    text = tree_to_text(tree)
+    assert text == tree_text(tree)
+    back = tree_from_text(text)
+    assert (back.n, back.builder, back.insertion_rank) == (
+        tree.n,
+        tree.builder,
+        tree.insertion_rank,
+    )
+    assert np.array_equal(back.u, tree.u) and np.array_equal(back.v, tree.v)
+    assert np.array_equal(back.length.view(np.int64), tree.length.view(np.int64))
+
+
+def test_tree_text_keeps_negative_zero_apart():
+    # -0.0 == 0.0, but the lengths are told apart by their bits
+    tree = SpanningTree(4, "hand", (np.arange(3), np.arange(1, 4), np.array([0.0, -0.0, 0.0])))
+    assert tree_to_text(tree) == tree_text(tree)
+    assert '"edges": [[0, 1, 0], [1, 2, -0], [2, 3, 0]]' in tree_to_text(tree)
+
+
 # ------------------------------------------------------ canonical tree
 
 
@@ -641,6 +699,81 @@ def test_canonical_order_is_the_three_key_lexsort(candidates):
     # are distinct, the packed lexsort otherwise
     length, u, v = candidates
     assert np.array_equal(_canonical_order(length, u, v), np.lexsort((v, u, length)))
+
+
+def _rank_bits(length, u, v):
+    """Bits of the packed key (rank << 2b) | (u << b) | v: those of the
+    largest length rank plus twice b, the bit length of the largest index."""
+    top = np.unique(length).size - 1  # -0.0 and 0.0 share a rank
+    return top.bit_length() + 2 * int(max(u.max(), v.max())).bit_length()
+
+
+@st.composite
+def _tied_candidates(draw, index, lengths, distinct):
+    """Distinct pairs of ``index`` values, each with one of at least
+    ``distinct`` different ``lengths``; at least two of them are tied."""
+    values = draw(st.lists(lengths, min_size=distinct, max_size=6, unique=True))  # by ==
+    length = draw(st.permutations(values + values[:2] + draw(st.lists(st.sampled_from(values)))))
+    pairs = draw(
+        st.lists(
+            st.tuples(index, index).filter(lambda p: p[0] != p[1]),
+            min_size=len(length),
+            max_size=len(length),
+            unique=True,
+        )
+    )
+    u, v = np.array(pairs, dtype=np.int32).reshape(-1, 2).T
+    return np.array(length, dtype=np.float64), u, v
+
+
+@settings(deadline=None, max_examples=300)
+@given(
+    candidates=_tied_candidates(
+        st.integers(0, 40),
+        st.sampled_from([0.0, -0.0, math.inf, 0.25, 1.0, 1 / 3]) | st.floats(0.0, 2.0),
+        distinct=1,
+    )
+)
+def test_canonical_order_packs_tied_ranks(candidates):
+    # small indices and few tied lengths, with 0.0, -0.0 and inf: one
+    # argsort of the packed (rank, u, v) key
+    length, u, v = candidates
+    assert _rank_bits(length, u, v) <= 63
+    assert np.array_equal(_canonical_order(length, u, v), np.lexsort((v, u, length)))
+
+
+@settings(deadline=None, max_examples=200)
+@given(
+    candidates=_tied_candidates(
+        st.integers(2**31 - 40, 2**31 - 1),
+        st.floats(0.0, 1e300) | st.just(math.inf),
+        distinct=3,
+    )
+)
+def test_canonical_order_of_wide_keys_is_the_lexsort(candidates):
+    # indices near 2^31 - 1 leave no room for a rank of two bits: the
+    # lexsort branch
+    length, u, v = candidates
+    assert _rank_bits(length, u, v) > 63
+    assert np.array_equal(_canonical_order(length, u, v), np.lexsort((v, u, length)))
+
+
+def test_canonical_order_memory_on_tied_candidates():
+    # bound stated first: 32 bytes per candidate, four 8-byte arrays at once
+    rng = np.random.default_rng(6)
+    first, step = np.divmod(rng.permutation(150_000), 200)
+    u = first.astype(np.int32)
+    v = (first + 1 + step).astype(np.int32)
+    length = np.sqrt(rng.integers(1, 78, u.size).astype(np.float64))
+    expected = np.lexsort((v, u, length))
+    tracemalloc.start()
+    try:
+        order = _canonical_order(length, u, v)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert np.array_equal(order, expected)
+    assert peak <= 32 * u.size
 
 
 @pytest.mark.parametrize(
