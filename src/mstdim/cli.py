@@ -133,9 +133,9 @@ def cmd_mst(args) -> int:
         tree = build_mst_prim(cloud, spec, root=args.root)
     else:
         tree = build_mst_kruskal(cloud, spec)
+    total = energies(tree.length, [1.0])[0]
     write_tree(tree, args.out)
     _finish(manifest, args.out)
-    total = energies(tree.length, [1.0])[0]
     print(f"{args.algo} tree over {tree.n} points, total length {format_float(total)}")
     return 0
 

@@ -287,7 +287,7 @@ def box_dimension(
             break  # the schedule underflows: no finer scale exists
         count = greedy_packing(cloud, spec, eps).count
         series.append((float(eps), count))
-        if count > cap or count >= n:
+        if count > cap:
             break
     usable = [(eps, count) for eps, count in series if BOX_MIN_COUNT <= count <= cap]
     if len(usable) < 4:

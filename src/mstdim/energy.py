@@ -72,12 +72,18 @@ def energies(lengths, alphas) -> list:
 
     Summation runs in ascending length order (fixed order keeps results
     reproducible and reduces cancellation). Zero lengths, which duplicate
-    points produce, are left out. Alphas pass ``check_alphas``.
+    points produce, are left out. Alphas pass ``check_alphas``; a sum that
+    overflows raises ``InputError`` naming its alpha.
     """
     alphas = check_alphas(alphas)
     lengths = np.sort(lengths)
     nonzero = lengths[lengths > 0.0]
-    return [float(np.sum(nonzero**a)) for a in alphas]
+    with np.errstate(over="ignore"):
+        sums = [float(np.sum(nonzero**a)) for a in alphas]
+    for a, value in zip(alphas, sums):
+        if not math.isfinite(value):
+            raise InputError(f"the energy at alpha {format_float(a)} overflows")
+    return sums
 
 
 def energy(tree: SpanningTree, alpha: float) -> EnergyReport:

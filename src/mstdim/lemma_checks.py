@@ -133,7 +133,8 @@ def lemma4_check(
     """Separation of the later endpoints of long edges in a greedily grown
     tree: for every edge longer than eps, take the endpoint that entered the
     tree last; all collected vertices must be pairwise at least 2 eps / 3
-    apart (divided by the weak-triangle constant for quasi-metrics).
+    apart (divided by the weak-triangle constant for quasi-metrics). The
+    tree must come from ``"prim"``, whose edge order is the growth order.
 
     The exact least distance comes from a closest-pair search over the cell
     grid, from twice the threshold up, or from the least length of a long
@@ -147,8 +148,8 @@ def lemma4_check(
     coordinate bound."""
     if not eps > 0:
         raise InputError("eps must be > 0")
-    if tree.insertion_rank is None:
-        raise InputError("tree lacks insertion ranks, build it with prim")
+    if tree.builder != "prim":
+        raise InputError(f"lemma 4 reads the growth order of a prim tree, got {tree.builder!r}")
     # edge k's v joined the tree at step k + 1, after its u
     long = tree.length > eps
     chosen = tree.v[long]

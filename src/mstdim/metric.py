@@ -585,7 +585,7 @@ def _block_max(pts, spec, perm, edges, x, y) -> float:
     nx, ny = edges[x + 1] - edges[x], edges[y + 1] - edges[y]
     count = nx * ny
     pair = np.repeat(np.arange(count.size), count)
-    offset = np.arange(pair.size) - np.repeat(np.cumsum(count) - count, count)
+    offset = _run_positions(0, count)
     i = perm[edges[x][pair] + offset // ny[pair]]
     j = perm[edges[y][pair] + offset % ny[pair]]
     # a node paired with itself contributes each of its pairs twice

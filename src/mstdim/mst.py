@@ -8,13 +8,13 @@ the same edge set, bit for bit, whatever the ties in the data:
 * ``build_mst_kruskal``: the tree as (min index, max index, length) edges in
   Kruskal order, ascending in the canonical order.
 * ``build_mst_prim``: the same tree in the order greedy growth from a root
-  adds it, with the insertion ranks downstream verifiers need. The order
+  adds it: edge k adds its ``v`` at step k + 1, the order lemma 4 reads. It
   comes from a heap of edge positions in the canonical order.
 
 Each returns a ``SpanningTree`` that stores its edges as the arrays ``u``,
 ``v`` and ``length``; tree records, energies and the lemma checks read them
-whole. A tree record formats each distinct length once, at 17 significant
-digits, however many edges share it.
+whole. A tree record holds ``n``, the builder and the edges; it formats each
+distinct length once, at 17 significant digits, however many edges share it.
 
 How a tree is built. Rounds of candidate pairs come first: every pair at
 computed distance <= r, found and measured by ``metric._CellPairs``, the cell
@@ -89,25 +89,30 @@ _NO_EDGES = (np.empty(0, dtype=np.int32), np.empty(0, dtype=np.int32), np.empty(
 
 class SpanningTree:
     """A spanning tree over vertices {0, ..., n-1} as edge arrays: edge k
-    joins ``u[k]`` and ``v[k]`` at distance ``length[k]``.
+    joins ``u[k]`` and ``v[k]`` at distance ``length[k]``, given as the tuple
+    ``(u, v, length)``.
 
-    ``edges`` may be given as (u, v, length) triples or as a tuple of the
-    three arrays; the triples are read back from the arrays. For Prim-built
-    trees the edges are in insertion order with u the tree-side endpoint, and
-    ``insertion_rank`` maps each vertex to the step at which it joined (root
-    has rank 0): edge k's v has rank k + 1.
+    A tree built by ``"prim"`` lists its edges in the order greedy growth
+    adds them, u the tree-side endpoint: edge k adds ``v[k]`` at step k + 1.
+    ``insertion_rank`` reads that order back.
     """
 
-    __slots__ = ("n", "builder", "insertion_rank", "u", "v", "length")
+    __slots__ = ("n", "builder", "u", "v", "length")
 
-    def __init__(self, n: int, builder: str, edges, insertion_rank: list | None = None):
-        if not isinstance(edges, tuple):
-            table = np.array(edges, dtype=np.float64).reshape(-1, 3)
-            edges = table[:, 0].astype(np.int64), table[:, 1].astype(np.int64), table[:, 2]
+    def __init__(self, n: int, builder: str, edges):
         self.n = n
         self.builder = builder
-        self.insertion_rank = insertion_rank
         self.u, self.v, self.length = edges
+
+    @property
+    def insertion_rank(self) -> list | None:
+        """For a ``"prim"`` tree the step at which each vertex joined (the
+        root 0, ``v[k]`` k + 1), made on each call; None for other builders."""
+        if self.builder != "prim":
+            return None
+        rank = np.zeros(self.n, dtype=np.int64)
+        rank[self.v] = np.arange(1, self.n)
+        return rank.tolist()
 
     @property
     def edges(self) -> list:
@@ -329,7 +334,7 @@ def build_mst_prim(cloud: PointCloud, spec: DistanceSpec, root: int = 0) -> Span
     """The canonical minimal tree, edges in the order greedy growth from
     ``root`` adds them: each step takes the least edge, in canonical order,
     from the tree to an outside vertex. Edges are (tree endpoint, new vertex,
-    length), and ``insertion_rank`` records the step each vertex joined.
+    length), so edge k's v joins at step k + 1.
 
     The order comes from a heap-driven growth over the tree's own edges: by
     the cut property the least edge leaving the tree is a tree edge, so it
@@ -340,7 +345,7 @@ def build_mst_prim(cloud: PointCloud, spec: DistanceSpec, root: int = 0) -> Span
     if not (0 <= root < n):
         raise InputError(f"root {root} out of range for {n} points")
     if n == 1:
-        return SpanningTree(n=1, builder="prim", edges=[], insertion_rank=[0])
+        return SpanningTree(1, "prim", _NO_EDGES)
     u, v, length = _canonical_tree(cloud.points, spec)
     ends = np.concatenate([u, v])
     by_end = np.argsort(ends)  # the heap orders the pushes, so any order here
@@ -362,14 +367,14 @@ def build_mst_prim(cloud: PointCloud, spec: DistanceSpec, root: int = 0) -> Span
         order.append(p)
         new.append(w)
     u, v, new = u[order], v[order], np.array(new, dtype=u.dtype)
-    return SpanningTree(n, "prim", (np.where(u == new, v, u), new, length[order]), rank)
+    return SpanningTree(n, "prim", (np.where(u == new, v, u), new, length[order]))
 
 
 def build_mst_kruskal(cloud: PointCloud, spec: DistanceSpec) -> SpanningTree:
     """The canonical minimal tree, edges (min index, max index, length) in
     Kruskal order: ascending in (length, min index, max index)."""
     if cloud.n == 1:
-        return SpanningTree(n=1, builder="kruskal", edges=[])
+        return SpanningTree(1, "kruskal", _NO_EDGES)
     return SpanningTree(cloud.n, "kruskal", _canonical_tree(cloud.points, spec))
 
 
@@ -389,14 +394,7 @@ def tree_to_text(tree: SpanningTree) -> str:
     items[1::3] = tree.v.tolist()
     items[2::3] = words[which].tolist()
     edge_parts = ", ".join(["[%d, %d, %s]"] * m) % tuple(items)
-    ranks = tree.insertion_rank
-    rank = "null" if ranks is None else "[" + ", ".join(["%d"] * len(ranks)) % tuple(ranks) + "]"
-    return (
-        "{"
-        f'"n": {tree.n}, "builder": "{tree.builder}", '
-        f'"edges": [{edge_parts}], "insertion_rank": {rank}'
-        "}\n"
-    )
+    return f'{{"n": {tree.n}, "builder": "{tree.builder}", "edges": [{edge_parts}]}}\n'
 
 
 def _number_array(value):
@@ -418,9 +416,9 @@ def _number_array(value):
 def tree_from_text(text: str) -> SpanningTree:
     """Parse a tree record, rejecting anything that is not a spanning tree:
     n - 1 ``[u, v, length]`` triples with indices in range and u != v, no
-    cycle, finite non-negative lengths, and insertion ranks (if present)
-    forming a permutation of range(n) in the edge order: edge k's v has rank
-    k + 1 and its u a smaller one."""
+    cycle, finite non-negative lengths, and for builder ``"prim"`` edges in
+    growth order: every v[k] is new and every u[k] joined earlier. A legacy
+    ``insertion_rank`` field is ignored."""
     try:  # past int's digit limit json raises ValueError, too deep RecursionError
         record = json.loads(text)
     except (ValueError, RecursionError) as exc:
@@ -453,20 +451,18 @@ def tree_from_text(text: str) -> SpanningTree:
     # n - 1 edges are acyclic iff the merges take every one
     if not _join(np.arange(n, dtype=np.int32), u, v)[0].all():
         raise InputError("tree record: the edges contain a cycle")
-    rank = record.get("insertion_rank")
-    if rank is not None:
-        ranks = _number_array(rank)
-        if ranks is None or ranks.shape != (n,) or not np.array_equal(
-            np.sort(ranks), np.arange(n)
-        ):
-            raise InputError("tree record: insertion_rank must be a permutation of range(n)")
-        if not np.all((ranks[v] == np.arange(1, n)) & (ranks[u] < ranks[v])):
+    builder = str(record["builder"])
+    if builder == "prim":
+        # edge k adds v[k] at step k + 1: each v[k] once, each u[k] before it
+        step = np.arange(1, n)
+        rank = np.zeros(n, dtype=np.int64)
+        rank[v] = step
+        if not (np.array_equal(rank[v], step) and np.all(rank[u] < step)):
             raise InputError(
-                "tree record: insertion_rank must follow the edges: "
-                "edge k joins a vertex of rank k + 1 to one of smaller rank"
+                "tree record: a prim tree lists its edges in growth order: "
+                "edge k adds a new vertex v to a tree that holds u"
             )
-        rank = ranks.astype(np.int64).tolist()
-    return SpanningTree(n, str(record["builder"]), (u, v, lengths), rank)
+    return SpanningTree(n, builder, (u, v, lengths))
 
 
 def write_tree(tree: SpanningTree, path) -> None:

@@ -86,21 +86,11 @@ def kruskal_join(label, u, v):
 
 def tree_text(tree):
     """Reference for ``mst.tree_to_text``: one ``"[{}, {}, {:.17g}]".format``
-    call per edge, and the insertion ranks joined through ``str``."""
+    call per edge."""
     edge_parts = ", ".join(
         map("[{}, {}, {:.17g}]".format, tree.u.tolist(), tree.v.tolist(), tree.length.tolist())
     )
-    rank = (
-        "null"
-        if tree.insertion_rank is None
-        else "[" + ", ".join(map(str, tree.insertion_rank)) + "]"
-    )
-    return (
-        "{"
-        f'"n": {tree.n}, "builder": "{tree.builder}", '
-        f'"edges": [{edge_parts}], "insertion_rank": {rank}'
-        "}\n"
-    )
+    return f'{{"n": {tree.n}, "builder": "{tree.builder}", "edges": [{edge_parts}]}}\n'
 
 
 def diameter(cloud, spec):

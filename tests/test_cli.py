@@ -17,6 +17,7 @@ from mstdim.errors import (
 from mstdim.generators import DEFAULT_POINT_BUDGET
 from mstdim.metric import Lp, PointCloud, write_cloud
 from mstdim.mst import build_mst_prim, read_tree
+from mstdim.reports import CheckReport
 
 
 def run(capsys, *argv):
@@ -167,26 +168,20 @@ def test_energy_prints_unit_square_value(tmp_path, capsys):
         {"n": 4, "builder": "prim", "edges": [[0, 1, 1], [1, 2, 1], [2, 0, 1]]},  # cycle
         {"n": 3, "builder": "prim", "edges": [[0, 1, 0.5]]},  # n - 2 edges
         {"n": 3, "builder": "prim", "edges": [[0, 1.5, 0.5], [1, 2, 0.5]]},
-        {"n": 3, "builder": "prim", "edges": [[0, 1, 1], [1, 2, 1]],
-         "insertion_rank": [0, 1, 1]},
-        {"n": 2, "builder": "prim", "edges": [[0, 1, 1]], "insertion_rank": 5},
-        {"n": 3, "builder": "prim", "edges": [[0, 1, 1.0], [1, 2, 1.0]],
-         "insertion_rank": [0, 2, 1]},  # ranks against the edge order
-        {"n": 3, "builder": "prim", "edges": [[0, 2, 1.0], [0, 1, 1.0]],
-         "insertion_rank": [0, 1, 2]},  # edge 0 adds the vertex of rank 2
+        {"n": 3, "builder": "prim", "edges": [[1, 2, 1], [0, 1, 1]]},  # edge 0's u joins later
+        {"n": 3, "builder": "prim", "edges": [[0, 1, 1], [2, 1, 1]]},  # vertex 1 added twice
         {"n": 2, "builder": "prim", "edges": [[0, 10**400, 1]]},
         {"n": 2, "builder": "prim", "edges": [[0, "1.0", 1]]},
         {"n": 2, "builder": "x", "edges": [[True, False, True]]},
-        {"n": 2, "builder": "x", "edges": [[0, 1, 1.0]], "insertion_rank": [False, True]},
         {"n": 0, "builder": "prim", "edges": []},
         [0, 1, 0.5],
         "[" * 200_000 + "]" * 200_000,
         '{"n": 2, "builder": "prim", "edges": [[0, 1, ' + "1" * 5000 + "]]}",
     ],
     ids=["short-edge", "index-range", "negative", "nan", "self-loop", "cycle",
-         "edge-count", "non-integer", "ranks", "scalar-ranks", "rank-order",
-         "rank-edge-order", "huge-index", "string-index", "boolean-edge",
-         "boolean-ranks", "empty", "not-object", "deep-nesting", "huge-int-literal"],
+         "edge-count", "non-integer", "prim-joins-later", "prim-adds-twice",
+         "huge-index", "string-index", "boolean-edge", "empty", "not-object",
+         "deep-nesting", "huge-int-literal"],
 )
 def test_energy_rejects_invalid_tree(tmp_path, capsys, record):
     # a str record is written as raw text, anything else as JSON
@@ -284,6 +279,13 @@ def test_dim_mst_estimation_failure(capsys):
           "--alphas", "5.0", "--seed", "1"],
     )
     assert code == 4
+    # (2/3)^2000 underflows: no log of the energy at size 2
+    code, _, err = run(
+        capsys,
+        *["dim-mst", "--shape", "cantor", "--sizes", "2,4,8", "--alphas", "2000", "--seed", "0"],
+    )
+    assert code == 4
+    assert "zero energy at size 2" in err
 
 
 # ------------------------------------------------------------------- verify
@@ -310,6 +312,26 @@ def test_verify_quasi_passes(capsys):
     )
     assert code == 0
     assert "weak-triangle" in stdout
+
+
+@pytest.mark.parametrize("suite, trials, checks", [("lemma2", 3, 3), ("thm1", 1, 1)])
+def test_verify_suite_passes(capsys, suite, trials, checks):
+    code, stdout, err = run(
+        capsys, "verify", "--suite", suite, "--trials", str(trials), "--seed", "1"
+    )
+    assert code == 0 and err == ""
+    lines = stdout.splitlines()
+    assert [line.split()[0] for line in lines[:-1]] == ["PASS"] * checks
+    assert lines[-1] == f"all {checks} checks passed"
+
+
+def test_verify_failed_check_exits_3(capsys, monkeypatch):
+    report = CheckReport(name="lemma2", parameters={}, passed=False, min_slack=-0.5)
+    monkeypatch.setitem(cli.VERIFY_SUITES, "lemma2", lambda trials, seed: [report])
+    code, stdout, err = run(capsys, "verify", "--suite", "lemma2", "--seed", "1")
+    assert code == 3
+    assert stdout == "FAIL lemma2  min_slack=-0.5\n"
+    assert err == "error: 1 of 1 checks failed\n"
 
 
 def test_verify_unknown_suite(capsys):
@@ -494,6 +516,11 @@ _DIM_BOX = ["dim-box", "--in", "{dir}/sq.csv", "--out", "{dir}/b.json"]
         _SCALE + ["--sizes", "16,32", "--alphas", "1,1,0.5"],
         ["scale", "--shape", "uniform-cube", "--sizes", "16,32", "--alphas", "1",
          "--seeds", "1,1", "--out", "{dir}/s.csv"],
+        ["mst", "--in", "{dir}/far.csv", "--metric", "powerquasi:2", "--out", "{dir}/t.json"],
+        ["energy", "--tree", "{dir}/line.json", "--alpha", "1000", "--out", "{dir}/e.json"],
+        ["dim-box", "--in", "{dir}/same.csv", "--out", "{dir}/b.json"],
+        ["generate", "--shape", "grid", "--size", "1", "--out", "{dir}/g.csv"],
+        ["generate", "--shape", "grid", "--size", "3", "--dim", "0", "--out", "{dir}/g.csv"],
     ],
     ids=["energy-nan", "energy-inf", "scale-alpha-nonpositive", "dim-mst-nan",
          "scale-size-1", "scale-no-sizes", "dim-mst-no-alphas", "verify-lemma2-trials-negative",
@@ -506,12 +533,18 @@ _DIM_BOX = ["dim-box", "--in", "{dir}/sq.csv", "--out", "{dir}/b.json"]
          "dim-mst-dim-0", "scale-dim-0", "mst-not-utf8", "dim-box-not-utf8",
          "energy-not-utf8", "scale-grid-seed-negative", "scale-sizes-repeated",
          "scale-sizes-repeated-svg", "dim-mst-alphas-repeated", "scale-alphas-repeated",
-         "scale-seeds-repeated"],
+         "scale-seeds-repeated", "mst-total-overflows", "energy-overflows",
+         "dim-box-coincident", "generate-grid-size-1", "generate-grid-dim-0"],
 )
 def test_invalid_numeric_arguments_exit_2(tmp_path, capsys, argv):
     cloud, tree = tmp_path / "sq.csv", tmp_path / "sq.json"
     write_cloud(PointCloud([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0]]), cloud)
     (tmp_path / "bytes.bin").write_bytes(b"\xff\xfe")
+    # lengths 1e308 under powerquasi:2, whose sum overflows
+    (tmp_path / "far.csv").write_text("0,0\n1e154,0\n2e154,0\n")
+    # the tree of (0, 0), (3, 0), (7, 0): 4^1000 overflows
+    (tmp_path / "line.json").write_text('{"n": 3, "builder": "prim", "edges": [[0, 1, 3], [1, 2, 4]]}')
+    (tmp_path / "same.csv").write_text("0.5,0.5\n" * 3)
     assert run(capsys, "mst", "--in", str(cloud), "--out", str(tree))[0] == 0
     before = set(tmp_path.iterdir())
     code, stdout, err = run(capsys, *[a.format(tree=tree, dir=tmp_path) for a in argv])

@@ -428,6 +428,8 @@ def test_mst_dim_validation():
     fam = ShapeFamily("interval")
     with pytest.raises(InputError):
         mst_dimension(fam, L2, sizes=[64, 128], alphas=[0.5], seed=0)
+    with pytest.raises(InputError):
+        mst_dimension(fam, L2, sizes=[64, 128, 256], alphas=[], seed=0)
     for bad in (-1.0, math.nan, math.inf):
         with pytest.raises(InputError):
             mst_dimension(fam, L2, sizes=[64, 128, 256], alphas=[bad, 1.0], seed=0)
@@ -497,6 +499,8 @@ def test_eps_count_csv_roundtrip():
     eps0, count0 = lines[1].split(",")
     assert float(eps0) == est.details["series"][0][0]
     assert int(count0) == est.details["series"][0][1]
+    with pytest.raises(InputError):
+        energy_table_csv(est)
 
 
 def test_energy_table_csv():

@@ -20,9 +20,8 @@ L2 = Lp(2.0)
 
 def make_tree(lengths):
     """Path tree with prescribed edge lengths, for direct energy tests."""
-    edges = [(i, i + 1, float(length)) for i, length in enumerate(lengths)]
-    return SpanningTree(n=len(lengths) + 1, builder="prim", edges=edges,
-                        insertion_rank=list(range(len(lengths) + 1)))
+    n = len(lengths) + 1
+    return SpanningTree(n, "prim", (np.arange(n - 1), np.arange(1, n), np.array(lengths, float)))
 
 
 # -------------------------------------------------------------------- bands
@@ -105,6 +104,9 @@ def test_alpha_validation():
             energy(make_tree([1.0]), alpha)
         with pytest.raises(InputError):
             energies([1.0, 0.5], [1.0, alpha])
+    # 7^1000 overflows: a sum that is not finite is refused, not returned
+    with pytest.raises(InputError, match="alpha 1000 overflows"):
+        energies([4.0, 7.0], [1000.0])
 
 
 @pytest.mark.parametrize("bad", [0.0, -1.0, math.nan, math.inf])
@@ -147,7 +149,7 @@ def test_zero_edges_tracked_separately():
 
 
 def test_empty_tree_energy():
-    tree = SpanningTree(n=1, builder="prim", edges=[], insertion_rank=[0])
+    tree = SpanningTree(1, "prim", (np.empty(0, int), np.empty(0, int), np.empty(0)))
     report = energy(tree, 1.0)
     assert report.value == 0.0 and report.max_edge == 0.0
 

@@ -233,7 +233,8 @@ def test_lemma4_min_distance_is_exact(shape, metric):
 def test_lemma4_min_distance_of_coincident_points():
     # not a minimal tree: two long edges end on the same point
     cloud = PointCloud([[0.0, 0.0], [1.0, 0.0], [1.0, 0.0], [3.0, 0.0]])
-    tree = SpanningTree(4, "prim", [(0, 1, 1.0), (0, 2, 1.0), (1, 3, 2.0)], [0, 1, 2, 3])
+    edges = np.array([0, 0, 1]), np.array([1, 2, 3]), np.array([1.0, 1.0, 2.0])
+    tree = SpanningTree(4, "prim", edges)
     report = lemma4_check(cloud, L2, tree, eps=0.5)
     assert report.details["min_center_distance"] == 0.0
     assert not report.passed

@@ -371,10 +371,20 @@ def test_tree_text_malformed():
         tree_from_text('{"n": 3, "builder": "prim"}')
 
 
-def test_tree_text_17_digits():
-    tree = SpanningTree(
-        n=2, builder="prim", edges=[(0, 1, 1 / 3)], insertion_rank=[0, 1]
+def test_tree_record_ignores_legacy_ranks():
+    # records once stored the growth order a second time, as a field
+    text = (
+        '{"n": 3, "builder": "prim", "edges": [[0, 2, 1.5], [2, 1, 0.25]], '
+        '"insertion_rank": [0, 2, 1]}'
     )
+    tree = tree_from_text(text)
+    assert tree.edges == [(0, 2, 1.5), (2, 1, 0.25)]
+    assert tree.insertion_rank == [0, 2, 1]
+    assert tree_to_text(tree) == text[: text.index(', "insertion_rank"')] + "}\n"
+
+
+def test_tree_text_17_digits():
+    tree = SpanningTree(2, "prim", (np.array([0]), np.array([1]), np.array([1 / 3])))
     text = tree_to_text(tree)
     assert "0.33333333333333331" in text
     assert tree_from_text(text).edges[0][2] == 1 / 3
@@ -396,7 +406,7 @@ def _record_trees():
         "uniform-2048-kruskal": lambda: build_mst_kruskal(uniform, L2),
         "duplicates-prim": lambda: build_mst_prim(repeated, L2),
         "duplicates-kruskal": lambda: build_mst_kruskal(repeated, L2),
-        "hand-made": lambda: SpanningTree(8, "hand", path, list(range(8))),
+        "hand-made": lambda: SpanningTree(8, "hand", path),
         "one-point-prim": lambda: build_mst_prim(PointCloud([[0.5, 0.5]]), L2),
         "one-point-kruskal": lambda: build_mst_kruskal(PointCloud([[0.5, 0.5]]), L2),
     }
