@@ -329,12 +329,12 @@ def _svg_loglog(series, title) -> str:
 
 def cmd_scale(args) -> int:
     spec = spec_from_string(args.metric)
-    family = ShapeFamily(args.shape, args.dim)
+    member = ShapeFamily(args.shape, args.dim).generate
     sizes = _parse_list(args.sizes, int)
     alphas = _parse_list(args.alphas, float)
     seeds = _parse_list(args.seeds, int)
     manifest = _manifest("scale", args, seeds[0])
-    table, longest = _energy_sweep(family, spec, sizes, alphas, [seeds] * len(sizes))
+    table, longest = _energy_sweep(member, spec, sizes, alphas, [seeds] * len(sizes))
     fits = _growth_fits(sizes, alphas, table) if args.svg else None
     rows = ["shape,n,alpha,seed,energy,max_edge"]
     for n, per_seed, per_seed_longest in zip(sizes, table.tolist(), longest.tolist()):

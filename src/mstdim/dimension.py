@@ -28,7 +28,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -235,16 +235,7 @@ class DimensionEstimate:
     details: dict = field(default_factory=dict)
 
     def to_text(self) -> str:
-        record = {
-            "method": self.method,
-            "value": self.value,
-            "slope": self.slope,
-            "r_squared": self.r_squared,
-            "fit_points": self.fit_points,
-            "window": self.window,
-            "details": self.details,
-        }
-        return json.dumps(_jsonable(record), indent=2)
+        return json.dumps(_jsonable(asdict(self)), indent=2)
 
 
 def box_dimension(
@@ -313,12 +304,13 @@ def box_dimension(
     )
 
 
-def _energy_sweep(family: ShapeFamily, spec: DistanceSpec, sizes, alphas, seeds):
+def _energy_sweep(member, spec: DistanceSpec, sizes, alphas, seeds):
     """Energies indexed [size, seed, alpha] and longest edges indexed [size,
-    seed] of the Kruskal trees of the members ``family.generate(sizes[i],
-    seeds[i][j])``. Checks before the first build: alphas (``check_alphas``,
-    at least one, distinct), sizes >= 2 and distinct (kept in order), seeds
-    >= 0 and distinct within each size."""
+    seed] of the Kruskal trees of the clouds ``member(sizes[i], seeds[i][j])``,
+    where ``member`` is a function such as ``ShapeFamily.generate``. Checks
+    before the first build: alphas (``check_alphas``, at least one,
+    distinct), sizes >= 2 and distinct (kept in order), seeds >= 0 and
+    distinct within each size."""
     alphas = check_alphas(alphas)
     if not alphas:
         raise InputError("need at least one alpha")
@@ -337,7 +329,7 @@ def _energy_sweep(family: ShapeFamily, spec: DistanceSpec, sizes, alphas, seeds)
     longest = np.empty(energy.shape[:2])
     for i, size in enumerate(sizes):
         for j, seed in enumerate(seeds[i]):
-            lengths = build_mst_kruskal(family.generate(size, seed=seed), spec).length
+            lengths = build_mst_kruskal(member(size, seed), spec).length
             energy[i, j] = energies(lengths, alphas)
             longest[i, j] = lengths.max()
     return energy, longest
@@ -391,7 +383,7 @@ def mst_dimension(
          for r in range(MST_REPLICATES)] if draw else [seed]
         for n in sizes
     ]
-    energy, _ = _energy_sweep(family, spec, sizes, alphas, seeds)
+    energy, _ = _energy_sweep(family.generate, spec, sizes, alphas, seeds)
     per_alpha_fits = dict(zip(alphas, _growth_fits(sizes, alphas, energy)))
     lo, hi = MST_SLOPE_BAND
     implied = {}

@@ -11,8 +11,9 @@ distort the histogram.
 
 from __future__ import annotations
 
+import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -41,20 +42,7 @@ class EnergyReport:
     zero_edges: int = 0
 
     def to_text(self) -> str:
-        band_items = ", ".join(
-            f"[{k}, {self.bands[k]}]" for k in sorted(self.bands)
-        )
-        return (
-            "{"
-            f'"alpha": {format_float(self.alpha)}, '
-            f'"value": {format_float(self.value)}, '
-            f'"max_edge": {format_float(self.max_edge)}, '
-            f'"n": {self.n}, '
-            f'"bands": [{band_items}], '
-            f'"overflow": {self.overflow}, '
-            f'"zero_edges": {self.zero_edges}'
-            "}\n"
-        )
+        return json.dumps({**asdict(self), "bands": sorted(self.bands.items())}) + "\n"
 
 
 def check_alphas(alphas) -> list:

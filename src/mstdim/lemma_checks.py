@@ -203,8 +203,8 @@ def theorem1_check(d: int, alphas, sizes, seeds) -> CheckReport:
     seeds = list(seeds)
     if len(sizes) < 3:
         raise InputError("need at least 3 sizes for a trend check")
-    family = ShapeFamily("uniform-cube", d)
-    energy, _ = _energy_sweep(family, Lp(2.0), sizes, alphas, [seeds] * len(sizes))
+    member = ShapeFamily("uniform-cube", d).generate
+    energy, _ = _energy_sweep(member, Lp(2.0), sizes, alphas, [seeds] * len(sizes))
     max_c = 0.0
     trends = {}
     all_ok = True

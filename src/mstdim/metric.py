@@ -26,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InputError
-from .reports import format_float
+from .reports import CheckReport, format_float
 
 __all__ = [
     "PointCloud",
@@ -37,7 +37,6 @@ __all__ = [
     "PowerQuasi",
     "distance",
     "validate_quasi_metric",
-    "QuasiMetricReport",
     "diameter",
     "spec_from_string",
     "read_cloud",
@@ -610,27 +609,9 @@ def _closest_distance(pts, spec, radius) -> float:
         radius = min(2.0 * radius, least) or least
 
 
-@dataclass
-class QuasiMetricReport:
-    spec: str
-    weak_triangle_const: float
-    trials: int
-    max_ratio: float
-    witness: tuple[int, int, int] | None
-    passed: bool
-
-    def summary_line(self) -> str:
-        status = "PASS" if self.passed else "FAIL"
-        return (
-            f"{status} weak-triangle {self.spec}: max ratio "
-            f"{self.max_ratio:.6g} vs declared constant {self.weak_triangle_const:.6g}"
-            f" (witness triple {self.witness})"
-        )
-
-
 def validate_quasi_metric(
     spec: DistanceSpec, cloud: PointCloud, trials: int, seed: int
-) -> QuasiMetricReport:
+) -> CheckReport:
     """Sample random triples and compare d(x,y)/(d(x,z)+d(z,y)) against the
     declared weak-triangle constant (relative tolerance 1e-9).
 
@@ -638,7 +619,8 @@ def validate_quasi_metric(
     sampling can only falsify it, so a PASS means "not contradicted at this
     sample size". A triple whose two sides both overflow to ``inf`` says
     nothing against the constant and counts as ratio 0, like one with
-    d(x, y) = 0; so ``max_ratio`` is never ``nan``.
+    d(x, y) = 0; so ``details["max_ratio"]`` is never ``nan``. The slack is
+    the constant minus the largest ratio, ``inf`` under an infinite constant.
     """
     if trials < 1:
         raise InputError("trials must be >= 1")
@@ -659,13 +641,12 @@ def validate_quasi_metric(
     k = int(np.argmax(ratio))
     max_ratio = float(ratio[k])
     c_w = spec.weak_triangle_const
-    return QuasiMetricReport(
-        spec=spec.describe(),
-        weak_triangle_const=c_w,
-        trials=trials,
-        max_ratio=max_ratio,
-        witness=(int(idx[k, 0]), int(idx[k, 1]), int(idx[k, 2])),
+    return CheckReport(
+        name=f"weak-triangle {spec.describe()}",
+        parameters={"weak_triangle_const": c_w, "trials": trials, "seed": seed, "n": cloud.n},
         passed=max_ratio <= c_w * (1.0 + 1e-9),
+        min_slack=math.inf if c_w == math.inf else c_w - max_ratio,
+        details={"max_ratio": max_ratio, "witness": tuple(idx[k].tolist())},
     )
 
 

@@ -394,7 +394,7 @@ def tree_to_text(tree: SpanningTree) -> str:
     items[1::3] = tree.v.tolist()
     items[2::3] = words[which].tolist()
     edge_parts = ", ".join(["[%d, %d, %s]"] * m) % tuple(items)
-    return f'{{"n": {tree.n}, "builder": "{tree.builder}", "edges": [{edge_parts}]}}\n'
+    return f'{{"n": {tree.n}, "builder": {json.dumps(tree.builder)}, "edges": [{edge_parts}]}}\n'
 
 
 def _number_array(value):

@@ -3,19 +3,12 @@
 from __future__ import annotations
 
 import json
-import math
 from dataclasses import dataclass, field
 
 
 def format_float(x: float) -> str:
     """Decimal rendering with 17 significant digits (round-trips exactly)."""
-    if isinstance(x, float):
-        if math.isinf(x):
-            return "Infinity" if x > 0 else "-Infinity"
-        if math.isnan(x):
-            return "NaN"
-        return format(x, ".17g")
-    return repr(x)
+    return format(x, ".17g")
 
 
 def _jsonable(value):

@@ -392,15 +392,15 @@ def test_criterion_10_quasi_metric_support():
 
     quasi = validate_quasi_metric(PowerQuasi(L2, 2.0), cloud, trials=2000, seed=10)
     quasi_ok = (
-        quasi.max_ratio <= 2.0 * (1.0 + 1e-9)
-        and quasi.max_ratio >= 1.9
+        quasi.details["max_ratio"] <= 2.0 * (1.0 + 1e-9)
+        and quasi.details["max_ratio"] >= 1.9
         and quasi.passed
     )
     ok = box_ok and mst_ok and quasi_ok
     record_criterion(
         f"[criterion 10] {'PASS' if ok else 'FAIL'} snowflake interval: box "
         f"{box.value:.4f} (2.0 +/- 0.1), |mst-box| {gap:.4f} (<= 0.15), "
-        f"weak-triangle max ratio {quasi.max_ratio:.4f} (<= 2, witness >= 1.9)"
+        f"weak-triangle max ratio {quasi.details['max_ratio']:.4f} (<= 2, witness >= 1.9)"
     )
     assert box_ok
     assert mst_ok

@@ -161,6 +161,7 @@ def test_energy_prints_unit_square_value(tmp_path, capsys):
     "record",
     [
         {"n": 2, "builder": "prim", "edges": [[0, 1]]},  # no length
+        {"n": 3, "builder": "prim", "edges": [[0, 1, 1.5], [1, 2]]},  # ragged
         {"n": 3, "builder": "prim", "edges": [[0, 1, 0.5], [1, 7, 1.0]]},  # index 7
         {"n": 3, "builder": "prim", "edges": [[0, 1, 0.5], [1, 2, -1.0]]},
         {"n": 3, "builder": "prim", "edges": [[0, 1, 0.5], [1, 2, "nan"]]},
@@ -178,7 +179,7 @@ def test_energy_prints_unit_square_value(tmp_path, capsys):
         "[" * 200_000 + "]" * 200_000,
         '{"n": 2, "builder": "prim", "edges": [[0, 1, ' + "1" * 5000 + "]]}",
     ],
-    ids=["short-edge", "index-range", "negative", "nan", "self-loop", "cycle",
+    ids=["short-edge", "ragged", "index-range", "negative", "nan", "self-loop", "cycle",
          "edge-count", "non-integer", "prim-joins-later", "prim-adds-twice",
          "huge-index", "string-index", "boolean-edge", "empty", "not-object",
          "deep-nesting", "huge-int-literal"],
@@ -364,9 +365,9 @@ def test_scale_csv_and_svg(tmp_path, capsys):
 
 
 def test_scale_plots_fitted_lines_only_across_sizes(tmp_path, capsys):
-    def plot(sizes):
+    def plot(sizes, alphas="0.5,1.0"):
         svg = tmp_path / "plot.svg"
-        argv = ["scale", "--shape", "grid", "--sizes", sizes, "--alphas", "0.5,1.0",
+        argv = ["scale", "--shape", "grid", "--sizes", sizes, "--alphas", alphas,
                 "--seeds", "0", "--out", str(tmp_path / "runs.csv"), "--svg", str(svg)]
         assert run(capsys, *argv)[0] == 0
         root = ET.parse(svg).getroot()
@@ -377,6 +378,7 @@ def test_scale_plots_fitted_lines_only_across_sizes(tmp_path, capsys):
 
     # one size: a point per alpha and nothing to fit
     assert plot("64") == (2, 0)
+    assert plot("64", "1") == (1, 0)
     assert plot("64,256") == (4, 2)
 
 
@@ -465,6 +467,30 @@ def test_benchmark_tracer_wraps_the_package(tmp_path, capsys, monkeypatch):
     assert sum(span.o2m_evals + span.pairs_evals for span in spans) > 0
 
 
+def test_benchmark_gate_passes_every_workload(tmp_path, monkeypatch):
+    # one pass of each benchmark workload at the reference seed, judged by
+    # the benchmark's correctness gate: output drift fails here
+    bench = Path(__file__).resolve().parents[1] / "perfbench"
+    monkeypatch.syspath_prepend(str(bench))
+    import gate
+    from worker import Runner, read_file
+    from workloads import DEFAULT_SEED, WORKLOADS
+
+    judge = gate.Gate(json.loads((bench / "reference.json").read_text()), DEFAULT_SEED)
+    attempted, failed, problems, cases = 0, 0, [], []
+    for name, workload in WORKLOADS.items():
+        (tmp_path / name).mkdir()
+        runner = Runner(cli, workload, DEFAULT_SEED, str(tmp_path / name))
+        runner.gate(judge, runner.run(workload.setup))
+        runner.gate(judge, runner.run(workload.commands))
+        attempted += runner.attempted
+        failed += runner.failed
+        problems += runner.problems
+        cases += [(c, argv, out, read_file) for c, argv, out in runner.last_outputs]
+    assert (attempted, failed, problems) == (12, 0, [])
+    assert gate.negative_test(judge, cases) == {"attempted": 10, "failed": 10, "missed": []}
+
+
 # ------------------------------------------------------- invalid arguments
 
 _SCALE = ["scale", "--shape", "uniform-cube", "--seeds", "0", "--out", "{dir}/s.csv"]
@@ -482,6 +508,7 @@ _DIM_BOX = ["dim-box", "--in", "{dir}/sq.csv", "--out", "{dir}/b.json"]
         _SCALE + ["--sizes", "1,2", "--alphas", "1", "--svg", "{dir}/s.svg"],
         _SCALE + ["--sizes", ",", "--alphas", "1", "--svg", "{dir}/s.svg"],
         _DIM_MST + ["--sizes", "64,128,256", "--alphas", " , "],
+        _DIM_MST + ["--sizes", "a,b", "--alphas", "1"],
         ["verify", "--suite", "lemma2", "--trials", "-5", "--seed", "1"],
         ["verify", "--suite", "lemma4", "--trials", "-5", "--seed", "1"],
         ["verify", "--suite", "thm1", "--trials", "0", "--seed", "1"],
@@ -523,8 +550,8 @@ _DIM_BOX = ["dim-box", "--in", "{dir}/sq.csv", "--out", "{dir}/b.json"]
         ["generate", "--shape", "grid", "--size", "3", "--dim", "0", "--out", "{dir}/g.csv"],
     ],
     ids=["energy-nan", "energy-inf", "scale-alpha-nonpositive", "dim-mst-nan",
-         "scale-size-1", "scale-no-sizes", "dim-mst-no-alphas", "verify-lemma2-trials-negative",
-         "verify-lemma4-trials-negative", "verify-thm1-trials-0",
+         "scale-size-1", "scale-no-sizes", "dim-mst-no-alphas", "dim-mst-sizes-not-int",
+         "verify-lemma2-trials-negative", "verify-lemma4-trials-negative", "verify-thm1-trials-0",
          "dim-box-anchor-nan", "dim-box-anchor-inf",
          "generate-size-and-depth", "generate-cantor-size", "generate-grid-depth",
          "dim-mst-cantor-dim-2", "scale-interval-dim-3",

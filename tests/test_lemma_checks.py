@@ -35,6 +35,8 @@ def test_lemma1_sweep_no_counterexamples(d):
 def test_lemma1_sweep_validation():
     with pytest.raises(InputError):
         lemma1_sweep(0, 2, seed=0)
+    with pytest.raises(InputError):
+        lemma1_sweep(10, 0, seed=1)
 
 
 # ------------------------------------------------------------------- lemma2

@@ -440,6 +440,14 @@ def test_tree_text_keeps_negative_zero_apart():
     assert '"edges": [[0, 1, 0], [1, 2, -0], [2, 3, 0]]' in tree_to_text(tree)
 
 
+@pytest.mark.parametrize("builder", ['a"b', "a\\b", "a\tb", "a\nb"])
+def test_tree_text_escapes_the_builder_name(builder):
+    # the record written for a builder name JSON must escape reads back
+    tree = SpanningTree(2, builder, (np.array([0]), np.array([1]), np.array([1.5])))
+    back = tree_from_text(tree_to_text(tree))
+    assert back.builder == builder and back.edges == tree.edges
+
+
 # ------------------------------------------------------ canonical tree
 
 
