@@ -89,6 +89,7 @@ class PackingResult:
         return len(self.center_indices)
 
 
+@np.errstate(over="ignore")  # a distance that overflows is inf, never a conflict
 def greedy_packing(cloud: PointCloud, spec: DistanceSpec, eps: float) -> PackingResult:
     """First-come packing: scan points in cloud order, keep a point iff its
     distance to every kept center exceeds 2 eps (strict).

@@ -19,7 +19,7 @@ import numpy as np
 
 from .errors import InputError
 from .mst import SpanningTree
-from .reports import format_float
+from .reports import _jsonable, format_float
 
 __all__ = [
     "EnergyReport",
@@ -42,7 +42,7 @@ class EnergyReport:
     zero_edges: int = 0
 
     def to_text(self) -> str:
-        return json.dumps({**asdict(self), "bands": sorted(self.bands.items())}) + "\n"
+        return json.dumps(_jsonable({**asdict(self), "bands": sorted(self.bands.items())})) + "\n"
 
 
 def check_alphas(alphas) -> list:

@@ -73,6 +73,13 @@ def generate_uniform(n: int, d: int, seed: int) -> PointCloud:
         raise InputError("d must be >= 1")
     if seed < 0:
         raise InputError(f"seed must be >= 0, got {seed}")
+    # the grids within the point budget hold at most 2^19 points in 19
+    # dimensions, 9,961,472 coordinates: both shapes share one ceiling
+    if n * d > 10 * DEFAULT_POINT_BUDGET:
+        raise ResourceError(
+            f"{n} points in {d} dimensions exceed the coordinate budget "
+            f"{10 * DEFAULT_POINT_BUDGET}"
+        )
     rng = np.random.default_rng(seed)
     return PointCloud(rng.random((n, d)))
 

@@ -525,6 +525,7 @@ _LEAF_PAIRS = 64
 _PAIR_CHUNK = 2**12
 
 
+@np.errstate(over="ignore")  # a distance that overflows is inf, and the maximum is inf
 def diameter(cloud: PointCloud, spec: DistanceSpec) -> float:
     """Maximum pairwise distance: the largest value of the row scan
     ``spec.one_to_many(pts[i], pts[i + 1:])`` over all i, bit for bit.
@@ -590,8 +591,6 @@ def _block_max(pts, spec, perm, edges, x, y) -> float:
     # a node paired with itself contributes each of its pairs twice
     once = (x[pair] != y[pair]) | (i < j)
     i, j = i[once], j[once]
-    if not i.size:
-        return 0.0
     return float(spec.pairs(pts.take(np.maximum(i, j), 0), pts.take(np.minimum(i, j), 0)).max())
 
 

@@ -48,7 +48,6 @@ radius.
 from __future__ import annotations
 
 import heapq
-import itertools
 import json
 import math
 
@@ -94,7 +93,6 @@ class SpanningTree:
 
     A tree built by ``"prim"`` lists its edges in the order greedy growth
     adds them, u the tree-side endpoint: edge k adds ``v[k]`` at step k + 1.
-    ``insertion_rank`` reads that order back.
     """
 
     __slots__ = ("n", "builder", "u", "v", "length")
@@ -103,16 +101,6 @@ class SpanningTree:
         self.n = n
         self.builder = builder
         self.u, self.v, self.length = edges
-
-    @property
-    def insertion_rank(self) -> list | None:
-        """For a ``"prim"`` tree the step at which each vertex joined (the
-        root 0, ``v[k]`` k + 1), made on each call; None for other builders."""
-        if self.builder != "prim":
-            return None
-        rank = np.zeros(self.n, dtype=np.int64)
-        rank[self.v] = np.arange(1, self.n)
-        return rank.tolist()
 
     @property
     def edges(self) -> list:
@@ -268,7 +256,7 @@ def _canonical_tree(pts, spec):
         order = _canonical_order(length, u, v)
         found.append((u[order], v[order], length[order]))
     u, v, length = (np.concatenate(p) for p in zip(*found))
-    if not math.isfinite(length[-1]):
+    if length.size and not math.isfinite(length[-1]):
         raise InputError(f"a tree edge length overflows to {length[-1]}")
     return u, v, length
 
@@ -344,8 +332,6 @@ def build_mst_prim(cloud: PointCloud, spec: DistanceSpec, root: int = 0) -> Span
     n = cloud.n
     if not (0 <= root < n):
         raise InputError(f"root {root} out of range for {n} points")
-    if n == 1:
-        return SpanningTree(1, "prim", _NO_EDGES)
     u, v, length = _canonical_tree(cloud.points, spec)
     ends = np.concatenate([u, v])
     by_end = np.argsort(ends)  # the heap orders the pushes, so any order here
@@ -373,8 +359,6 @@ def build_mst_prim(cloud: PointCloud, spec: DistanceSpec, root: int = 0) -> Span
 def build_mst_kruskal(cloud: PointCloud, spec: DistanceSpec) -> SpanningTree:
     """The canonical minimal tree, edges (min index, max index, length) in
     Kruskal order: ascending in (length, min index, max index)."""
-    if cloud.n == 1:
-        return SpanningTree(1, "kruskal", _NO_EDGES)
     return SpanningTree(cloud.n, "kruskal", _canonical_tree(cloud.points, spec))
 
 
@@ -397,28 +381,13 @@ def tree_to_text(tree: SpanningTree) -> str:
     return f'{{"n": {tree.n}, "builder": {json.dumps(tree.builder)}, "edges": [{edge_parts}]}}\n'
 
 
-def _number_array(value):
-    """``value`` as a float64 array, or None unless it is a rectangular nest of
-    JSON numbers (strings, booleans and integers beyond 64 bits are refused)."""
-    try:
-        arr = np.array(value)
-    except (ValueError, TypeError):
-        return None
-    if arr.dtype.kind not in "iuf":
-        return None
-    # numpy reads booleans mixed with numbers as numbers: look in the nest
-    items = [value]
-    for _ in range(arr.ndim):
-        items = itertools.chain.from_iterable(items)
-    return None if bool in map(type, items) else arr.astype(np.float64)
-
-
 def tree_from_text(text: str) -> SpanningTree:
     """Parse a tree record, rejecting anything that is not a spanning tree:
-    n - 1 ``[u, v, length]`` triples with indices in range and u != v, no
-    cycle, finite non-negative lengths, and for builder ``"prim"`` edges in
-    growth order: every v[k] is new and every u[k] joined earlier. A legacy
-    ``insertion_rank`` field is ignored."""
+    a string builder, n - 1 ``[u, v, length]`` lists of JSON numbers (not
+    booleans; integers are read as floats) with indices in range and u != v,
+    no cycle, finite non-negative lengths, and for builder ``"prim"`` edges
+    in growth order: every v[k] is new and every u[k] joined earlier. A
+    legacy ``insertion_rank`` field is ignored."""
     try:  # past int's digit limit json raises ValueError, too deep RecursionError
         record = json.loads(text)
     except (ValueError, RecursionError) as exc:
@@ -431,13 +400,21 @@ def tree_from_text(text: str) -> SpanningTree:
     n = record["n"]
     if isinstance(n, bool) or not isinstance(n, int) or n < 1:
         raise InputError(f"tree record: n must be a positive integer, got {n!r}")
+    builder = record["builder"]
+    if not isinstance(builder, str):
+        raise InputError(f"tree record: builder must be a string, got {builder!r}")
     raw = record["edges"]
     if not isinstance(raw, list) or len(raw) != n - 1:
         raise InputError(f"tree record: a tree on {n} vertices needs {n - 1} edges")
-    table = _number_array(raw)
-    if table is None or (n > 1 and table.shape != (n - 1, 3)):
-        raise InputError("tree record: every edge must be a [u, v, length] triple of numbers")
-    table = table.reshape(n - 1, 3)
+    not_triples = "tree record: every edge must be a [u, v, length] triple of numbers"
+    # exact types: a JSON boolean is a bool, which numpy would read as a number
+    triples = all(type(e) is list and len(e) == 3 for e in raw)
+    if not (triples and {type(x) for e in raw for x in e} <= {int, float}):
+        raise InputError(not_triples)
+    try:
+        table = np.array(raw, dtype=np.float64).reshape(n - 1, 3)
+    except OverflowError:  # an integer beyond the float range
+        raise InputError(not_triples) from None
     ends, lengths = table[:, :2], table[:, 2]
     if not np.all((ends >= 0) & (ends < n) & (ends == np.floor(ends))):
         raise InputError(f"tree record: edge endpoints must be integers in [0, {n})")
@@ -451,7 +428,6 @@ def tree_from_text(text: str) -> SpanningTree:
     # n - 1 edges are acyclic iff the merges take every one
     if not _join(np.arange(n, dtype=np.int32), u, v)[0].all():
         raise InputError("tree record: the edges contain a cycle")
-    builder = str(record["builder"])
     if builder == "prim":
         # edge k adds v[k] at step k + 1: each v[k] once, each u[k] before it
         step = np.arange(1, n)

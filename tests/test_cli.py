@@ -1,5 +1,6 @@
 import hashlib
 import json
+import warnings
 import xml.etree.ElementTree as ET
 from pathlib import Path
 
@@ -91,8 +92,10 @@ def test_generate_resource_error(tmp_path, capsys):
         ["grid", "--size", "2", "--dim", "100000000"],
         ["cantor", "--depth", "100000000"],
         ["sierpinski-carpet", "--depth", "100000000"],
+        # 10^13 coordinates, refused before any is drawn
+        ["uniform-cube", "--size", "10", "--dim", str(10**12), "--seed", "1"],
     ],
-    ids=["grid", "cantor", "carpet"],
+    ids=["grid", "cantor", "carpet", "uniform-cube"],
 )
 def test_generate_huge_exponent_exits_5(tmp_path, capsys, shape_args):
     code, stdout, err = run(
@@ -101,6 +104,7 @@ def test_generate_huge_exponent_exits_5(tmp_path, capsys, shape_args):
     assert code == 5
     assert stdout == ""
     assert err.startswith("error: ") and err.count("\n") == 1
+    assert list(tmp_path.iterdir()) == []
 
 
 # ---------------------------------------------------------------------- mst
@@ -120,7 +124,6 @@ def test_mst_roundtrip_matches_in_process(tmp_path, capsys):
     stored = read_tree(tree_path)
     direct = build_mst_prim(cloud, Lp(2.0))
     assert stored.edges == direct.edges
-    assert stored.insertion_rank == direct.insertion_rank
 
 
 def test_mst_malformed_input_exit_code(tmp_path, capsys):
@@ -174,6 +177,9 @@ def test_energy_prints_unit_square_value(tmp_path, capsys):
         {"n": 2, "builder": "prim", "edges": [[0, 10**400, 1]]},
         {"n": 2, "builder": "prim", "edges": [[0, "1.0", 1]]},
         {"n": 2, "builder": "x", "edges": [[True, False, True]]},
+        {"n": 3, "builder": "prim", "edges": [[0, True, 0.5], [1, 2, 1]]},
+        {"n": 2, "builder": None, "edges": [[0, 1, 1.0]]},
+        {"n": 2, "builder": ["prim"], "edges": [[0, 1, 1.0]]},
         {"n": 0, "builder": "prim", "edges": []},
         [0, 1, 0.5],
         "[" * 200_000 + "]" * 200_000,
@@ -181,7 +187,8 @@ def test_energy_prints_unit_square_value(tmp_path, capsys):
     ],
     ids=["short-edge", "ragged", "index-range", "negative", "nan", "self-loop", "cycle",
          "edge-count", "non-integer", "prim-joins-later", "prim-adds-twice",
-         "huge-index", "string-index", "boolean-edge", "empty", "not-object",
+         "huge-index", "string-index", "boolean-edge", "boolean-mixed",
+         "builder-null", "builder-list", "empty", "not-object",
          "deep-nesting", "huge-int-literal"],
 )
 def test_energy_rejects_invalid_tree(tmp_path, capsys, record):
@@ -225,6 +232,26 @@ def test_dim_box_schedule_underflow_exits_4(tmp_path, capsys, schedule):
     code, _, err = run(capsys, "dim-box", "--in", str(path), *schedule)
     assert code == 4
     assert "only 0 scales inside the window" in err
+
+
+@pytest.mark.parametrize(
+    "argv, code",
+    [
+        (["dim-box", "--in", "{dir}/far.csv"], 2),
+        (["dim-box", "--in", "{dir}/far.csv", "--anchor", "1e300"], 4),
+        (["dim-box", "--in", "{dir}/grid.csv", "--metric", "powerquasi:1e308"], 2),
+    ],
+    ids=["diameter", "packing", "power"],
+)
+def test_overflowing_distances_print_one_error_line(tmp_path, capsys, argv, code):
+    # a distance that overflows is inf, not a warning printed before the error
+    (tmp_path / "far.csv").write_text("0,0\n1e200,0\n0,1\n")
+    write_cloud(generators.builtin_shape("grid", 8)[0], tmp_path / "grid.csv")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        result = run(capsys, *[a.format(dir=tmp_path) for a in argv])
+    assert result[:2] == (code, "")
+    assert result[2].startswith("error: ") and result[2].count("\n") == 1
 
 
 def test_dim_box_large_p_reads_like_a_smaller_p(tmp_path, capsys):

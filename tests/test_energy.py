@@ -253,6 +253,12 @@ def test_dyadic_reconstruction_brackets(seed, alpha):
 # ------------------------------------------------------------ serialization
 
 
+@pytest.mark.parametrize("alpha, word", [(np.float32(1.5), "1.5"), (np.int64(2), "2")])
+def test_report_text_takes_numpy_scalar_alphas(alpha, word):
+    tree = build_mst_kruskal(PointCloud([[0.0], [1.0], [3.0]]), L2)
+    assert f'"alpha": {word},' in energy(tree, alpha).to_text()
+
+
 def test_report_roundtrip():
     cloud = PointCloud(np.random.default_rng(1).random((12, 2)))
     tree = build_mst_kruskal(cloud, L2)

@@ -44,6 +44,16 @@ def test_uniform_validation():
         generate_uniform(5, 0, seed=0)
 
 
+def test_uniform_coordinate_budget(monkeypatch):
+    # at most ten coordinates per point of the budget, checked before drawing
+    with pytest.raises(ResourceError):
+        generate_uniform(10, 10**12, seed=0)
+    monkeypatch.setattr(generators, "DEFAULT_POINT_BUDGET", 10)
+    assert generate_uniform(10, 10, seed=0).points.shape == (10, 10)
+    with pytest.raises(ResourceError):
+        generate_uniform(101, 1, seed=0)
+
+
 # --------------------------------------------------------------------- grid
 
 

@@ -185,9 +185,9 @@ def test_vacuous_records_have_the_same_keys():
 
 
 def _collected(tree, eps):
-    """The later endpoints of the edges longer than eps, as lemma4 takes them."""
-    rank = tree.insertion_rank
-    return [v if rank[v] > rank[u] else u for u, v, length in tree.edges if length > eps]
+    """The later endpoints of the edges longer than eps, as lemma4 takes them:
+    a Prim edge's v joins the tree after its u."""
+    return [v for _, v, length in tree.edges if length > eps]
 
 
 def _brute_min(spec, pts):

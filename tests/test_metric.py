@@ -118,6 +118,12 @@ def test_diameter_matches_pairwise_max():
         assert diameter(cloud, spec) == best
 
 
+def test_diameter_of_an_overflowing_distance_is_inf():
+    # no overflow warning: the distance from (0, 0) to (1e200, 0) is inf
+    cloud = PointCloud([[0.0, 0.0], [1e200, 0.0], [0.0, 1.0]])
+    assert diameter(cloud, L2) == math.inf
+
+
 def _outlier_cloud():
     pts = np.random.default_rng(6).random((500, 2))
     pts[123] = (1e9, 1e9)
@@ -584,6 +590,11 @@ def test_coordinate_radius_bounds_coordinate_gaps(seed, spec_idx, d, log_scale):
                 assert gap <= spec.coordinate_radius(t)
             t = float(np.median(dists))
             assert np.all(gaps[dists <= t] <= spec.coordinate_radius(t))
+
+
+def test_coordinate_radius_of_an_overflowing_preimage_is_inf():
+    # (1e10) ** 100 is past the float range: every gap is within the bound
+    assert Snowflake(L2, 0.01).coordinate_radius(1e10) == math.inf
 
 
 # ------------------------------------------------------- distance bounds

@@ -78,7 +78,6 @@ def test_collinear_prim():
     cloud = PointCloud([[0.0], [1.0], [3.0]])
     tree = build_mst_prim(cloud, L2, root=0)
     assert tree.edges == [(0, 1, 1.0), (1, 2, 2.0)]
-    assert tree.insertion_rank == [0, 1, 2]
     assert tree.builder == "prim"
 
 
@@ -105,9 +104,11 @@ def test_unit_square_against_subset_oracle():
 
 
 def test_single_point_tree():
+    # one point takes the path of every other cloud, to empty edge arrays
     cloud = PointCloud([[0.5, 0.5]])
     tree = build_mst_prim(cloud, L2)
-    assert tree.edges == [] and tree.insertion_rank == [0]
+    assert tree.edges == []
+    assert (tree.u.dtype, tree.v.dtype, tree.length.dtype) == (np.int32, np.int32, np.float64)
     assert energies(tree.length, [1.0])[0] == 0.0
     assert build_mst_kruskal(cloud, L2).edges == []
 
@@ -276,10 +277,13 @@ def test_prim_structure_invariants(seed, n):
     tree = build_mst_prim(cloud, L2)
     assert len(tree.edges) == n - 1
     assert tree_is_spanning(tree)
-    assert sorted(tree.insertion_rank) == list(range(n))
+    # edge k adds v[k] at step k + 1; the root joins at step 0
+    rank = np.zeros(n, dtype=np.int64)
+    rank[tree.v] = np.arange(1, n)
+    assert sorted(rank.tolist()) == list(range(n))
     for u, v, length in tree.edges:
         # the recorded child entered strictly later than its tree endpoint
-        assert tree.insertion_rank[v] > tree.insertion_rank[u]
+        assert rank[v] > rank[u]
         assert length == pytest.approx(
             float(np.linalg.norm(cloud.points[u] - cloud.points[v])), rel=1e-12
         )
@@ -361,7 +365,6 @@ def test_tree_roundtrip_bitwise(tmp_path):
         assert back.n == tree.n
         assert back.builder == tree.builder
         assert back.edges == tree.edges  # includes bit-identical lengths
-        assert back.insertion_rank == tree.insertion_rank
 
 
 def test_tree_text_malformed():
@@ -379,8 +382,15 @@ def test_tree_record_ignores_legacy_ranks():
     )
     tree = tree_from_text(text)
     assert tree.edges == [(0, 2, 1.5), (2, 1, 0.25)]
-    assert tree.insertion_rank == [0, 2, 1]
     assert tree_to_text(tree) == text[: text.index(', "insertion_rank"')] + "}\n"
+
+
+def test_tree_record_reads_wide_integer_lengths():
+    # an integer literal is read as a float: 2^70 is exact, 10^400 is too large
+    tree = tree_from_text('{"n": 2, "builder": "prim", "edges": [[0, 1, %d]]}' % 2**70)
+    assert tree.edges == [(0, 1, 2.0**70)]
+    with pytest.raises(InputError, match="triple of numbers"):
+        tree_from_text('{"n": 2, "builder": "prim", "edges": [[0, 1, %d]]}' % 10**400)
 
 
 def test_tree_text_17_digits():
@@ -424,11 +434,7 @@ def test_tree_text_matches_the_per_edge_format(name):
     text = tree_to_text(tree)
     assert text == tree_text(tree)
     back = tree_from_text(text)
-    assert (back.n, back.builder, back.insertion_rank) == (
-        tree.n,
-        tree.builder,
-        tree.insertion_rank,
-    )
+    assert (back.n, back.builder) == (tree.n, tree.builder)
     assert np.array_equal(back.u, tree.u) and np.array_equal(back.v, tree.v)
     assert np.array_equal(back.length.view(np.int64), tree.length.view(np.int64))
 
@@ -454,16 +460,15 @@ def test_tree_text_escapes_the_builder_name(builder):
 def dense_canonical_prim(cloud, spec, root=0):
     """Reference builder: dense Prim that adds, at each step, the least edge
     from the tree to an outside vertex under (length, min index, max index).
-    Evaluates every row in full; returns (edges, insertion ranks)."""
+    Evaluates every row in full; returns the edges in growth order."""
     pts = cloud.points
     n = cloud.n
     best = spec.one_to_many(pts[root], pts).copy()
     best_from = np.full(n, root, dtype=np.int64)
     inside = np.zeros(n, dtype=bool)
     inside[root] = True
-    rank = np.zeros(n, dtype=np.int64)
     edges = []
-    for step in range(1, n):
+    for _ in range(1, n):
         outside = np.flatnonzero(~inside)
         ties = outside[best[outside] == best[outside].min()]
         lo = np.minimum(best_from[ties], ties)
@@ -471,20 +476,18 @@ def dense_canonical_prim(cloud, spec, root=0):
         v = int(ties[np.lexsort((hi, lo))[0]])
         edges.append((int(best_from[v]), v, float(best[v])))
         inside[v] = True
-        rank[v] = step
         dv = spec.one_to_many(pts[v], pts)
         # equal lengths keep the smaller tree endpoint
         update = ~inside & ((dv < best) | ((dv == best) & (v < best_from)))
         best[update] = dv[update]
         best_from[update] = v
-    return edges, rank.tolist()
+    return edges
 
 
 def assert_canonical(cloud, spec, root=0):
-    edges, rank = dense_canonical_prim(cloud, spec, root)
+    edges = dense_canonical_prim(cloud, spec, root)
     prim = build_mst_prim(cloud, spec, root=root)
     assert prim.edges == edges
-    assert prim.insertion_rank == rank
     expected = sorted(
         ((min(u, v), max(u, v), length) for u, v, length in edges),
         key=lambda e: (e[2], e[0], e[1]),
@@ -542,7 +545,7 @@ def test_trees_match_dense_canonical_prim_in_small_blocks(cloud, monkeypatch):
         "duplicates": PointCloud(np.repeat(rng.integers(0, 6, (60, 2)) * 0.5, 3, axis=0)),
         "line": PointCloud(np.arange(300.0)[rng.permutation(300)]),
     }
-    edges, _ = dense_canonical_prim(clouds[cloud], L2)
+    edges = dense_canonical_prim(clouds[cloud], L2)
     expected = sorted(
         ((min(u, v), max(u, v), length) for u, v, length in edges),
         key=lambda e: (e[2], e[0], e[1]),
