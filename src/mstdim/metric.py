@@ -199,11 +199,13 @@ class Lp(DistanceSpec):
 
     def _rows(self, lhs, rhs, out):
         """Distances from the rows of ``lhs`` to ``rhs``, one point or one
-        point per row: the root of ``_sums``, rescaled where p is general."""
-        if self.p in (1.0, 2.0):
-            return self._root(self._sums(lhs, rhs, out))
-        with np.errstate(over="ignore"):  # a row that overflows is rescaled
-            return self._rescaled(lhs, rhs, self._sums(lhs, rhs, out))
+        point per row: the root of ``_sums``. A call in which a term or a sum
+        underflows or overflows is done again by ``_rescaled``."""
+        try:
+            with np.errstate(over="raise", under="raise"):
+                return self._root(self._sums(lhs, rhs, out))
+        except FloatingPointError:
+            return self._rescaled(lhs, rhs, out)
 
     def _sums(self, lhs, rhs, out):
         """The terms of lhs[:, k] - rhs[..., k] summed into ``out`` in
@@ -218,14 +220,15 @@ class Lp(DistanceSpec):
                 np.add(out, self._term(np.subtract(lhs[:, k], rhs[..., k], out=tmp)), out=out)
         return out
 
-    def _rescaled(self, lhs, rhs, sums):
-        """Root of the ``sums`` in place. A sum that overflows or is not a
-        normal float (0 included) is computed again from its row's gaps and
-        their largest, s: s (sum (gap_k / s) ** p) ** (1 / p), finite and
-        exact to rounding (Blue, ACM TOMS 1978). Other rows keep their bits."""
-        if 2.0**-1022 <= sums.min(initial=math.inf) and sums.max(initial=0.0) < math.inf:
-            return self._root(sums)
-        rows = np.flatnonzero(~(sums >= 2.0**-1022) | (sums == math.inf))
+    @np.errstate(over="ignore", under="ignore")  # a distance that overflows is inf
+    def _rescaled(self, lhs, rhs, out):
+        """The root of ``_sums``, where a sum below d * 2 ** -1022 (its largest
+        term may have left the normal range, 0 included) or infinite is
+        computed again from its row's gaps and their largest, s:
+        s (sum (gap_k / s) ** p) ** (1 / p), exact to rounding (Blue, ACM
+        TOMS 1978). Other rows keep the bits of the plain path."""
+        sums = self._sums(lhs, rhs, out)
+        rows = np.flatnonzero(~(sums >= lhs.shape[1] * 2.0**-1022) | (sums == math.inf))
         gaps = np.abs(lhs[rows] - (rhs[rows] if rhs.ndim == 2 else rhs))
         top = gaps.max(axis=1)
         # a row with top 0 is at distance 0, one with top inf overflows
@@ -245,18 +248,15 @@ class Lp(DistanceSpec):
         return self._rows(*_pair_arrays(lhs, rhs), None)
 
     def coordinate_radius(self, t: float) -> float:
-        # The largest term |a_k - b_k| ** p alone reaches the distance; below
-        # 2 ** (-1022 / p) that term underflows and may vanish from the sum.
-        return max(t * (1.0 + _BOUND_SLACK), 2.0 ** (-1022.0 / self.p))
+        # no term vanishes from a row: the largest gap alone reaches the distance
+        return t * (1.0 + _BOUND_SLACK)
 
     def distance_bound(self, extent):
-        # Each kernel step is monotone in each gap: subtraction, abs or
-        # square, pow, addition in coordinate order and the root. Lifting the
-        # gaps by 2 ** (-1022 / p) keeps every term a normal float, where the
-        # rounding of pow is relative and the slack covers it.
-        lifted = np.asarray(extent, dtype=np.float64) + 2.0 ** (-1022.0 / self.p)
+        # every row is its exact distance to rounding, and the exact distance
+        # grows with each gap
+        extent = np.asarray(extent, dtype=np.float64)
         with np.errstate(over="ignore"):
-            return self._rows(lifted, np.zeros(lifted.shape[1]), None) * (1.0 + _BOUND_SLACK)
+            return self._rows(extent, np.zeros(extent.shape[1]), None) * (1.0 + _BOUND_SLACK)
 
     def describe(self) -> str:
         if self.p == 2.0:

@@ -26,14 +26,16 @@ packed key (rank << 2b) | (u << b) | v, with b the bit length of the
 largest index, gives the order when the key fits in 63 bits; a wider key
 takes one lexsort of the lengths and the packed key (u << 32) | v. The
 first r is the median distance from 16 sampled points to their 8th nearest
-distinct point; each later round grows r by the first of the factors 2,
-2^(1/2), 2^(1/4) and 2^(1/8) whose grid holds at most 32 pairs per point,
-and takes only the pairs that join two components. Once the rest would cost
-Prim at most 8 distance evaluations per pair the last round enumerated, Prim
-grows the largest component B over the rest, adding a whole component per
-step. Its distance rows pair the points just joined with the outside points,
-so it makes exactly |B| (n - |B|) + sum over C < C' of |C| |C'| evaluations,
-over the other components: none inside one component.
+distinct point; if its grid holds more than 32 pairs per point, r / 2^(1/4)
+is tried once and taken if its grid fits. Each later round grows r by the
+first of the factors 2, 2^(1/2), 2^(1/4) and 2^(1/8) whose grid holds at
+most 32 pairs per point, and takes only the pairs that join two components.
+Once the rest would cost Prim at most 8 distance evaluations per pair the
+last round enumerated, Prim grows the largest component B over the rest,
+adding a whole component per step. Its distance rows pair the points just
+joined with the outside points, so it makes exactly |B| (n - |B|) + sum
+over C < C' of |C| |C'| evaluations, over the other components: none inside
+one component.
 
 What it costs. On clouds of bounded local density in up to 3 dimensions
 (the grid keys at most 3 coordinates) O(n) distance evaluations, and array
@@ -214,6 +216,10 @@ def _canonical_tree(pts, spec):
     radius = _first_radius(pts, spec)
     limit = _ROUND_PAIRS * n
     cells = _CellPairs(pts, spec, radius)
+    if cells.total > limit:  # one try at a smaller first radius
+        smaller = _CellPairs(pts, spec, radius / _GROWTH[2])
+        if smaller.total <= limit:
+            cells, radius = smaller, radius / _GROWTH[2]
     waste = 0
     while cells.total <= limit and waste <= _WASTE_PAIRS * n:
         parts = [_NO_EDGES]

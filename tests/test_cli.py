@@ -245,7 +245,7 @@ def test_dim_box_schedule_underflow_exits_4(tmp_path, capsys, schedule):
 )
 def test_overflowing_distances_print_one_error_line(tmp_path, capsys, argv, code):
     # a distance that overflows is inf, not a warning printed before the error
-    (tmp_path / "far.csv").write_text("0,0\n1e200,0\n0,1\n")
+    (tmp_path / "far.csv").write_text("0,0\n1.5e308,1.5e308\n0,1\n")
     write_cloud(generators.builtin_shape("grid", 8)[0], tmp_path / "grid.csv")
     with warnings.catch_warnings():
         warnings.simplefilter("error")
@@ -637,6 +637,17 @@ def test_mst_rejects_overflowing_coordinate_span(tmp_path, capsys):
     assert stdout == ""
     assert err.startswith("error: ") and err.count("\n") == 1
     assert not (tmp_path / "t.json").exists()
+
+
+@pytest.mark.parametrize("algo", ["prim", "kruskal"])
+def test_mst_measures_a_subnormal_edge(tmp_path, capsys, algo):
+    # the square of 1e-320 underflows to 0: the row is rescaled by its gap
+    cloud = tmp_path / "two.csv"
+    cloud.write_text("0,0\n1e-320,0\n")
+    code, stdout, _ = run(capsys, "mst", "--in", str(cloud), "--algo", algo,
+                          "--out", str(tmp_path / "t.json"))
+    assert code == 0
+    assert float(stdout.split("total length ")[1]) == 1e-320
 
 
 @pytest.mark.parametrize("algo", ["prim", "kruskal"])

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from mstdim.errors import InputError
 from mstdim.generators import builtin_shape, generate_uniform
+from mstdim.mst import build_mst_kruskal
 from mstdim.metric import (
     DistanceSpec,
     Lp,
@@ -119,8 +120,9 @@ def test_diameter_matches_pairwise_max():
 
 
 def test_diameter_of_an_overflowing_distance_is_inf():
-    # no overflow warning: the distance from (0, 0) to (1e200, 0) is inf
-    cloud = PointCloud([[0.0, 0.0], [1e200, 0.0], [0.0, 1.0]])
+    # no overflow warning: the distance from (0, 0) to (1.5e308, 1.5e308),
+    # about 2.1e308, is inf
+    cloud = PointCloud([[0.0, 0.0], [1.5e308, 1.5e308], [0.0, 1.0]])
     assert diameter(cloud, L2) == math.inf
 
 
@@ -205,6 +207,37 @@ def test_lp_large_p_stays_finite_and_exact():
         warnings.simplefilter("error")
         assert distance(Lp(400.0), (0, 0), (10, 0)) == 10.0
         assert distance(Lp(400.0), (0, 0), (0.1, 0)) == 0.1
+
+
+def test_l2_rows_are_exact_over_the_float_range():
+    # squares of these gaps underflow or overflow: the rows are rescaled by
+    # their largest gap, and no warning escapes the kernel
+    far = [[1e-160, 0.0], [1e-320, 0.0], [3e-200, 4e-200], [1e200, 0.0], [1.5e308, 1.5e308]]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        row = L2.one_to_many((0.0, 0.0), far)
+        assert row.tolist() == [1e-160, 1e-320, 5e-200, 1e200, math.inf]
+        assert L2.pairs(far, np.zeros((5, 2))).tolist() == row.tolist()
+        # l1 never squares its gaps: it reads what it always read
+        assert Lp(1.0).one_to_many((0.0, 0.0), far).tolist() == [
+            1e-160, 1e-320, 3e-200 + 4e-200, 1e200, math.inf
+        ]
+
+
+def test_lp_rows_with_duplicates_stay_on_the_plain_path(monkeypatch):
+    # a zero gap or a zero distance traps nothing: no row of a tree over a
+    # cloud with duplicate points is rescaled
+    calls = []
+    rescaled = Lp._rescaled
+
+    def recorded(self, *args):
+        calls.append(self)
+        return rescaled(self, *args)
+
+    monkeypatch.setattr(Lp, "_rescaled", recorded)
+    pts = np.repeat(np.random.default_rng(4).random((100, 3)), 2, axis=0)
+    build_mst_kruskal(PointCloud(pts), Lp(3.0))
+    assert calls == []
 
 
 def test_distance_dimension_mismatch():
@@ -573,7 +606,7 @@ BOUND_SPECS = [
     seed=st.integers(0, 10**6),
     spec_idx=st.integers(0, len(BOUND_SPECS) - 1),
     d=st.integers(1, 4),
-    log_scale=st.sampled_from([-200, -160, -20, -1, 0, 3, 100]),
+    log_scale=st.sampled_from([-320, -200, -160, -20, -1, 0, 3, 100]),
 )
 def test_coordinate_radius_bounds_coordinate_gaps(seed, spec_idx, d, log_scale):
     # every pair with d(x, y) <= t has max_k |x_k - y_k| <= coordinate_radius(t);
@@ -607,6 +640,7 @@ DISTANCE_BOUND_CASES = [
     (Lp(3.0), 0),
     (Lp(400.0), 15),  # p-th powers overflow
     (Lp(400.0), -3),  # p-th powers underflow
+    (L2, -315),  # subnormal coordinates: squares underflow
     (spec_from_string("snowflake:0.5"), 0),
     (spec_from_string("powerquasi:2"), 0),
     (spec_from_string("powerquasi:2000"), 0),

@@ -856,6 +856,18 @@ def test_candidate_rounds_work_bound(name, per_point):
     assert spec.evals <= per_point * n
 
 
+@pytest.mark.parametrize("spec", [L2, PowerQuasi(L2, 2.0)], ids=["l2", "powerquasi"])
+def test_first_grid_over_the_round_limit_retries_a_smaller_radius(spec):
+    # This cloud's first grid holds 33.3 pairs per point, over the round
+    # limit of 32. Built again at radius / 2^(1/4) it fits, and the rounds
+    # run. Measured: 86.2 n evaluations under l2 and 60.9 n under
+    # powerquasi:2, where sending every point to Prim took 4,111.5 n.
+    cloud = generate_uniform(8192, 3, 958979753)
+    counting = Counting(spec)
+    build_mst_kruskal(cloud, counting)
+    assert counting.evals <= 128 * cloud.n
+
+
 @pytest.mark.parametrize(
     "name, evals",
     [
